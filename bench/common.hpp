@@ -24,7 +24,7 @@
 //                    (default on; off = the pre-index full-scan engine,
 //                    the baseline row of BENCH_HOTPATH.json)
 //   --drop=F         fraction of incremental inserts that are Drop-class
-//                    (/0-hull profile; see eval::random_updates)
+//                    (/0-hull profile; see scenario::legacy_plan)
 //   --transport=K    inproc|uds|tcp: also run the multi-process
 //                    DistributedRuntime section over that transport
 //                    (binaries that support it; empty = skip)

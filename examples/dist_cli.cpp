@@ -236,7 +236,9 @@ int main(int argc, char** argv) {
       dist.kind = args.kind;
       dist.device_procs = args.procs;
       dist.n_updates = args.updates;
-      dist.kill_rank1_at_phase = args.kill_phase;
+      if (args.kill_phase != runtime::DeviceProcess::kNoKillPhase) {
+        dist.kills = {{1, args.kill_phase}};
+      }
       dist.collect_trace = !args.trace_out.empty();
       dist.fanout = args.tree_fanout;
       dist.recovery = args.recovery;

@@ -13,9 +13,7 @@ std::vector<net::PeerId> Tree::subtree(net::PeerId r) const {
     if (cur != 0) out.push_back(cur);
     for (const net::PeerId c : children(cur)) stack.push_back(c);
   }
-  if (r != 0 || out.size() > 1) std::sort(out.begin(), out.end());
-  if (r == 0) return out;  // device ranks only
-  // r itself was pushed above (r != 0); the sort put it first.
+  std::sort(out.begin(), out.end());  // the root itself is never listed
   return out;
 }
 

@@ -9,12 +9,14 @@
 // probe acks and verdict rollups and forward one message to their parent,
 // so the root's inbound control traffic is O(F) per wave instead of O(P).
 //
-// fanout == 0 (or >= rank count) degenerates to the flat star: every
-// device rank is a direct child of the root and no aggregation happens.
+// The flat star is not a separate mode: it is the tree whose fanout is at
+// least the rank count (every device rank is a direct child of the root
+// and nothing aggregates), and fanout 0 asks for exactly that shape.
 // Data frames are unaffected either way — DVM traffic stays direct
 // rank-to-rank; the tree carries coordination only.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -24,35 +26,25 @@ namespace tulkun::coord {
 
 class Tree {
  public:
-  /// `device_ranks` = P (ranks 1..P exist; rank 0 is the root).
+  /// `device_ranks` = P (ranks 1..P exist; rank 0 is the root). Fanout 0
+  /// and any fanout >= P both mean fanout P: the one-level star.
   Tree() = default;
   Tree(std::size_t device_ranks, std::size_t fanout)
       : ranks_(device_ranks),
-        fanout_(fanout == 0 || fanout >= device_ranks ? 0 : fanout) {}
+        fanout_(std::max<std::size_t>(
+            1, fanout == 0 ? device_ranks : std::min(fanout, device_ranks))) {}
 
   [[nodiscard]] std::size_t device_ranks() const { return ranks_; }
-  [[nodiscard]] std::size_t fanout() const { return fanout_; }
-  [[nodiscard]] bool is_star() const { return fanout_ == 0; }
 
   /// Parent of a device rank (rank 0 for the root's direct children).
   [[nodiscard]] net::PeerId parent(net::PeerId r) const {
     if (r == 0) return 0;
-    if (is_star()) return 0;
     return static_cast<net::PeerId>((r - 1) / fanout_);
   }
 
   /// Direct children of `r` (device ranks only, ascending).
   [[nodiscard]] std::vector<net::PeerId> children(net::PeerId r) const {
     std::vector<net::PeerId> out;
-    if (is_star()) {
-      if (r == 0) {
-        out.reserve(ranks_);
-        for (std::size_t c = 1; c <= ranks_; ++c) {
-          out.push_back(static_cast<net::PeerId>(c));
-        }
-      }
-      return out;
-    }
     for (std::size_t i = 1; i <= fanout_; ++i) {
       const std::size_t c = static_cast<std::size_t>(r) * fanout_ + i;
       if (c > ranks_) break;
@@ -71,7 +63,8 @@ class Tree {
     return l;
   }
 
-  /// Max level over all ranks (a star of any size has depth 1).
+  /// Max level over all ranks (a star of any size has depth 1; depth > 1
+  /// means some device rank aggregates a subtree).
   [[nodiscard]] std::uint32_t depth() const {
     if (ranks_ == 0) return 0;
     return level(static_cast<net::PeerId>(ranks_));
@@ -92,7 +85,7 @@ class Tree {
 
  private:
   std::size_t ranks_ = 0;
-  std::size_t fanout_ = 0;  // 0 = star
+  std::size_t fanout_ = 1;
 };
 
 }  // namespace tulkun::coord

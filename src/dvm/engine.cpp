@@ -90,8 +90,9 @@ std::vector<LocEntry> DeviceEngine::compute_region(
                                      [](std::uint32_t c) { return c > 0; });
 
   for (const auto& [pred, action] : lec_.partition(region)) {
-    // Pure destination in this scene: Algorithm 1 lines 2-3.
-    if (children.empty() && cfg_.assume_delivery_at_destination) {
+    // Pure destination in this scene: Algorithm 1 lines 2-3 count one
+    // delivered copy per accepted atom regardless of the local FIB action.
+    if (children.empty()) {
       result.push_back(LocEntry{
           pred, pred, action,
           count::CountSet::singleton(indicator)});
@@ -418,12 +419,6 @@ void DeviceEngine::check_local_contracts() {
                     dag_->topology().name(cd) + " required by node " +
                     dag_->label(ns.id)});
           }
-        }
-        if (node.accepting() && !action.forwards_to(fib::kExternalPort) &&
-            children.empty() && !cfg_.assume_delivery_at_destination) {
-          violations_.push_back(Violation{
-              inv_id_, dev_, ns.id, pred, {},
-              "local contract: destination does not deliver externally"});
         }
       }
       // Only-check: forwarding outside the DPVNet breaks equal/subset.

@@ -29,9 +29,6 @@ struct EngineConfig {
   /// Apply Proposition 1 minimal counting information to outgoing results
   /// (ablation toggle for bench_mincount).
   bool minimize_counting_info = true;
-  /// Paper semantics: a node with no downstream DPVNet edges counts one
-  /// delivered copy per accepted atom regardless of the local FIB action.
-  bool assume_delivery_at_destination = true;
   /// Worker-pool size of runtime::ShardedRuntime (0 = one worker per
   /// hardware thread). Ignored by the engines themselves; carried here so
   /// one config object travels from CLI/env through harness to runtime.

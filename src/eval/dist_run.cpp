@@ -150,8 +150,7 @@ DistRunResult drive(runtime::DistCoordinator& coord, std::size_t n_updates,
 DistRunResult dist_run_inproc(const DatasetSpec& spec,
                               const HarnessOptions& opts,
                               const DistOptions& dist) {
-  if (dist.kill_rank1_at_phase != runtime::DeviceProcess::kNoKillPhase ||
-      !dist.kills.empty()) {
+  if (!dist.kills.empty()) {
     throw Error("kill schedules require process isolation (uds|tcp)");
   }
   if (dist.collect_trace) obs::set_trace_enabled(true);
@@ -330,8 +329,7 @@ DistRunResult dist_run(const DatasetSpec& spec, const HarnessOptions& opts,
   std::atomic<bool> shutting{false};
 
   const auto kill_phase_of = [&](net::PeerId rank) {
-    std::uint32_t phase = rank == 1 ? dist.kill_rank1_at_phase
-                                    : runtime::DeviceProcess::kNoKillPhase;
+    std::uint32_t phase = runtime::DeviceProcess::kNoKillPhase;
     for (const auto& k : dist.kills) {
       if (k.rank == rank) phase = std::min(phase, k.phase);
     }

@@ -30,28 +30,26 @@ struct DistOptions {
   std::string socket_dir;
   /// First TCP port; rank r listens on base_port + r (0 = derive from pid).
   std::uint16_t base_port = 0;
-  /// Chaos hook: rank 1 _exits upon receiving Begin for this phase (its
-  /// first incarnation only); the supervisor re-forks it and the run must
-  /// reconverge through the epoch-reset protocol. Legacy single-kill form
-  /// of `kills`; both are honoured.
-  std::uint32_t kill_rank1_at_phase = runtime::DeviceProcess::kNoKillPhase;
-  /// Generalized kill schedule (requires process isolation, uds|tcp): each
-  /// entry's rank _exits on Begin of its phase, first incarnation only.
+  /// Chaos hook (requires process isolation, uds|tcp): each entry's rank
+  /// _exits on Begin of its phase, first incarnation only; the supervisor
+  /// re-forks it and the run must reconverge through the recovery
+  /// protocol. `kills = {{1, K}}` kills rank 1 when phase K begins.
   std::vector<scenario::KillSpec> kills;
   /// Transport fault injection: when chaos.enabled(), *every* rank's
   /// transport — coordinator included — is wrapped in a
   /// scenario::ChaosTransport (both sides must speak the chaos framing).
   scenario::ChaosProfile chaos;
-  /// Update stream source: the scenario churn generator when set, the
-  /// legacy eval::random_updates stream when nullopt. Shipped to device
-  /// processes via --churn= so every rank builds the same world.
+  /// Update stream source: the scenario churn generator when set,
+  /// scenario::legacy_plan when nullopt. Shipped to device processes via
+  /// --churn= so every rank builds the same world.
   std::optional<scenario::ChurnProfile> churn;
   /// Ship per-rank flight-recorder buffers back with the verdicts and
   /// surface them in DistRunResult::traces (requires obs tracing enabled
   /// in this process; child processes inherit the setting via argv).
   bool collect_trace = false;
-  /// Coordinator-tree fanout (0 = flat star; see coord::Tree). Interior
-  /// device ranks relay control downward and merge acks/rollups upward.
+  /// Coordinator-tree fanout (0 or >= device_procs = flat star; see
+  /// coord::Tree). Interior device ranks relay control downward and merge
+  /// acks/rollups upward.
   std::size_t fanout = 0;
   /// Recovery protocol when a device process is reborn: Legacy resets and
   /// replays every rank; Catchup replays only the reborn ranks from

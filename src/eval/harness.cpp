@@ -478,7 +478,7 @@ Harness::DistributedRun Harness::run_distributed(std::size_t n_updates) {
 
 UpdatePlan Harness::update_plan(std::size_t n_updates, double drop_fraction,
                                 const scenario::ChurnProfile* churn) const {
-  if (churn != nullptr && !churn->legacy) {
+  if (churn != nullptr) {
     scenario::ChurnProfile p = *churn;
     if (n_updates != 0) p.events = n_updates;
     if (drop_fraction > 0.0) p.drop_fraction = drop_fraction;

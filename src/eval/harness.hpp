@@ -33,7 +33,7 @@ struct HarnessOptions {
   std::size_t max_destinations = 0;
   /// Fraction of incremental inserts that are Drop-class (blackhole a
   /// random prefix): a /0-hull workload profile the destination-hull index
-  /// cannot prune. See eval::random_updates.
+  /// cannot prune. See scenario::legacy_plan.
   double drop_fraction = 0.0;
   /// Per-device engine knobs, forwarded to the simulator's verifiers and
   /// to the sharded runtime (whose pool size is engine.runtime_shards).
@@ -143,7 +143,7 @@ class Harness {
   ///
   /// `churn` selects the scenario:: churn generator for the update stream
   /// (its events count is overridden by n_updates when n_updates != 0);
-  /// nullptr keeps the legacy eval::random_updates stream.
+  /// nullptr keeps the default scenario::legacy_plan stream.
   [[nodiscard]] runtime::WorldBuilder world_builder(
       std::size_t n_updates, const scenario::ChurnProfile* churn = nullptr);
 

@@ -3,19 +3,8 @@
 #include <algorithm>
 
 #include "core/rng.hpp"
-#include "scenario/workload.hpp"
 
 namespace tulkun::eval {
-
-UpdatePlan random_updates(const topo::Topology& topo, fib::NetworkFib& net,
-                          std::size_t count, std::uint64_t seed,
-                          double drop_fraction) {
-  // The generator body lives in scenario::legacy_plan (the compatibility
-  // profile of the scenario:: subsystem); the stream is bit-identical to
-  // what this function always produced.
-  (void)net;
-  return scenario::legacy_plan(topo, count, seed, drop_fraction);
-}
 
 std::vector<spec::FaultScene> sample_fault_scenes(const topo::Topology& topo,
                                                   std::size_t count,

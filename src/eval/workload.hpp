@@ -1,5 +1,6 @@
-// Incremental-update and fault-scene workload generators (§9.2, §9.3.3,
-// §9.3.4).
+// Incremental-update plans and fault-scene workload generators (§9.2,
+// §9.3.3, §9.3.4). The update streams themselves come from src/scenario/
+// (scenario::legacy_plan and scenario::ChurnGenerator).
 #pragma once
 
 #include "eval/fib_synth.hpp"
@@ -7,9 +8,7 @@
 
 namespace tulkun::eval {
 
-/// One scripted update: insert a higher-priority reroute for an existing
-/// destination prefix at a random device, or remove a previously inserted
-/// reroute (roughly half each, like a route flap trace).
+/// A scripted stream of FIB updates.
 struct UpdatePlan {
   /// The update stream in application order. Erase entries reference the
   /// i-th insert via `erase_of` (resolved to rule ids as inserts happen).
@@ -19,23 +18,6 @@ struct UpdatePlan {
   };
   std::vector<Step> steps;
 };
-
-/// Generates `count` updates against the synthesized data plane. Reroutes
-/// point to a random neighbor (biased toward ones that still reach the
-/// destination, so most updates are benign — matching the paper's mostly
-/// error-free update streams).
-///
-/// `drop_fraction` of the insert steps are Drop-class instead: a drop rule
-/// for a random destination prefix at a random device. Each drop grows the
-/// device's Drop equivalence class into a union of scattered prefixes
-/// whose hull is 0.0.0.0/0 — the profile the destination-hull index cannot
-/// prune (every query against the class is a full-width set op), which is
-/// exactly where the atom tier is supposed to win.
-[[nodiscard]] UpdatePlan random_updates(const topo::Topology& topo,
-                                        fib::NetworkFib& net,
-                                        std::size_t count,
-                                        std::uint64_t seed,
-                                        double drop_fraction = 0.0);
 
 /// Samples `count` fault scenes with 1..max_links failed links (the paper
 /// samples 50 scenes of <= 3 links from Microsoft WAN failure statistics).

@@ -4,9 +4,9 @@
 // messages flow along the coordinator tree (coord::Tree): the root sends
 // to its children, interior device ranks relay downward and merge probe
 // acks / verdict rollups upward, so root fan-in is bounded by the tree
-// fanout instead of the rank count. With fanout 0 the tree degenerates to
-// the flat star and every message travels exactly as it did before the
-// fabric existed. Data messages carry dvm-encoded envelope frames directly
+// fanout instead of the rank count. The flat star is the tree whose fanout
+// is at least the rank count; there every message travels exactly as it
+// did before the fabric existed. Data messages carry dvm-encoded envelope frames directly
 // between device processes in both modes — the tree is coordination only.
 //
 // All Data traffic (and the coordinator's probe rounds) is tagged with an

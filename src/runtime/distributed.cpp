@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <thread>
 
@@ -20,6 +19,50 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
+
+// Coordinator timing. These are constants, not knobs: each value is held
+// in place by the reason beside it.
+//
+// Gap between complete probe waves. Termination needs two stable waves,
+// so the gap sets the floor on how fast a quiet phase is declared over;
+// without one, a phase still doing work would be flooded with probes that
+// only confirm it is busy.
+constexpr std::chrono::milliseconds kProbeInterval{2};
+// Patience for hellos, acks and verdicts before a round is re-broadcast.
+constexpr double kWaitStepS = 0.05;
+// Ceiling of the adaptive patience (see Patience). A peer whose round trip
+// exceeds the base window — a gray-failed link adding 50 ms each way —
+// could otherwise never land an ack inside it, and the coordinator would
+// re-ask forever.
+constexpr double kWaitStepMaxS = 2.0;
+// Gray-aggregator fallback. A stalled-not-dead interior rank blocks its
+// whole subtree's rollups while every liveness edge stays up, so a collect
+// round that timed out is re-asked with direct replies once an interior
+// direct child's link has been rx-silent this long...
+constexpr double kGrayCollectStaleS = 1.0;
+// ...or once the round missed this many waits in a row (a chaos-gray peer
+// keeps heartbeats, and with them rx freshness, alive).
+constexpr std::uint32_t kGrayCollectMisses = 4;
+
+/// How long one coordinator round (probe wave or collect) waits for its
+/// answers. Each wait — a phase, a drain, a collect — starts at kWaitStepS,
+/// and an incomplete round doubles the window for every later round of
+/// that wait, up to kWaitStepMaxS. It never shrinks back mid-wait: a
+/// stable verdict needs two consecutive complete waves, so a window that
+/// reset after each complete wave would let a peer slower than kWaitStepS
+/// complete only every other wave, forever. A complete round ends its
+/// wait as soon as the last answer lands, so a wide window costs nothing
+/// while answers arrive.
+class Patience {
+ public:
+  [[nodiscard]] std::chrono::duration<double> window() const {
+    return std::chrono::duration<double>(s_);
+  }
+  void missed() { s_ = std::min(s_ * 2.0, kWaitStepMaxS); }
+
+ private:
+  double s_ = kWaitStepS;
+};
 
 }  // namespace
 
@@ -828,77 +871,79 @@ bool DistCoordinator::reset_pending() {
   return reset_wanted_;
 }
 
-bool DistCoordinator::await_termination(std::uint32_t k) {
-  std::uint64_t prev_sent = 0;
-  std::uint64_t prev_recv = 0;
-  bool have_prev = false;
-  const auto probe_gap = std::chrono::duration<double>(cfg_.probe_interval_s);
-  double patience_s = cfg_.wait_step_s;
-  const std::size_t n_ranks = cfg_.n_device_procs;
+bool DistCoordinator::probe_until_stable(
+    const std::optional<std::vector<net::PeerId>>& direct,
+    const SettleTest& settled) {
+  // A relayed wave is complete when its acks cover every device rank (the
+  // root hears one merged ack per direct child); a direct one when every
+  // addressed rank answered.
+  const std::size_t expected = direct ? direct->size() : cfg_.n_device_procs;
+  std::optional<Signature> prev;
+  Patience patience;
   while (true) {
-    const auto wait_step = std::chrono::duration<double>(patience_s);
     std::uint32_t epoch = 0;
     std::uint32_t wave = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (reset_wanted_) return false;
-      wave_ += 1;
-      wave = wave_;
+      wave = ++wave_;
       epoch = epoch_;
       acks_.clear();
     }
-    TLK_EVENT_ARG("dist.probe_wave", wave);
-    broadcast(DistProbe{epoch, wave});
+    if (direct) {
+      TLK_EVENT_ARG("dist.direct_wave", wave);
+      const auto bytes = encode_dist(DistProbe{epoch, wave, /*direct=*/true});
+      for (const net::PeerId r : *direct) transport_->send(r, bytes);
+    } else {
+      TLK_EVENT_ARG("dist.probe_wave", wave);
+      broadcast(DistProbe{epoch, wave});
+    }
     bool complete = false;
-    bool terminated = false;
+    WaveAcks acks;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      // Tree mode: the root hears one merged ack per direct child, each
-      // covering `ranks` of its subtree; a wave is complete when the
-      // coverage reaches every device rank, not when every rank answered
-      // individually.
       const auto covered = [&] {
         std::size_t n = 0;
         for (const auto& [r, ack] : acks_) n += ack.ranks;
         return n;
       };
-      cv_.wait_for(lock, wait_step,
-                   [&] { return reset_wanted_ || covered() >= n_ranks; });
+      cv_.wait_for(lock, patience.window(),
+                   [&] { return reset_wanted_ || covered() >= expected; });
       if (reset_wanted_) return false;
-      complete = covered() >= n_ranks;
-      if (complete) {
-        bool all_settled = true;
+      complete = covered() >= expected;
+      if (complete) acks = acks_;
+    }
+    if (!complete) {
+      // Missing acks (dead or slow peer): probe again with doubled
+      // patience — a slow peer's acks always land once the window exceeds
+      // its round trip, and a rebirth Hello flips reset_wanted_ and aborts
+      // the wait. Stability needs consecutive complete waves.
+      patience.missed();
+      prev.reset();
+      continue;
+    }
+    auto sig = settled(acks);
+    if (sig && prev && *sig == *prev) return true;
+    prev = std::move(sig);
+    std::this_thread::sleep_for(kProbeInterval);
+  }
+}
+
+bool DistCoordinator::await_termination(std::uint32_t k) {
+  return probe_until_stable(
+      std::nullopt, [k](const WaveAcks& acks) -> std::optional<Signature> {
         std::uint64_t sent = 0;
         std::uint64_t recv = 0;
-        for (const auto& [rank, ack] : acks_) {
+        for (const auto& [rank, ack] : acks) {
+          if (!ack.idle || !ack.phase_started || ack.phase != k) {
+            return std::nullopt;
+          }
           sent += ack.sent;
           recv += ack.received;
-          all_settled = all_settled && ack.idle && ack.phase_started &&
-                        ack.phase == k;
         }
-        if (all_settled && sent == recv) {
-          if (have_prev && prev_sent == sent && prev_recv == recv) {
-            terminated = true;  // two consecutive stable, balanced waves
-          }
-          have_prev = true;
-          prev_sent = sent;
-          prev_recv = recv;
-        } else {
-          have_prev = false;
-        }
-      }
-    }
-    if (terminated) return true;
-    // Missing acks (dead or slow peer): probe again with doubled patience —
-    // a slow peer's acks always land once the window exceeds its round
-    // trip, and a rebirth Hello flips reset_wanted_ and aborts this wait.
-    if (complete) {
-      patience_s = cfg_.wait_step_s;
-      std::this_thread::sleep_for(probe_gap);
-    } else {
-      patience_s = std::min(patience_s * 2.0, cfg_.wait_step_max_s);
-    }
-  }
+        if (sent != recv) return std::nullopt;
+        return Signature{sent, recv};
+      });
 }
 
 void DistCoordinator::absorb_reset(std::uint32_t upto_phase,
@@ -947,35 +992,19 @@ void DistCoordinator::absorb_reset(std::uint32_t upto_phase,
       .max_of(static_cast<std::uint64_t>(seconds_since(reset_t0) * 1e6));
 }
 
-void DistCoordinator::direct_wave(std::uint32_t epoch, double patience_s,
-                                  std::size_t expected,
-                                  std::map<net::PeerId, DistProbeAck>& acks) {
-  std::uint32_t wave = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    wave_ += 1;
-    wave = wave_;
-    acks_.clear();
-  }
-  TLK_EVENT_ARG("dist.direct_wave", wave);
-  broadcast_direct(DistProbe{epoch, wave, /*direct=*/true});
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait_for(lock, std::chrono::duration<double>(patience_s),
-               [&] { return reset_wanted_ || acks_.size() >= expected; });
-  acks = acks_;
-}
-
 void DistCoordinator::absorb_catchup(std::uint32_t upto_phase,
                                      PhaseOutcome& outcome) {
   TLK_SPAN_ARG("dist.catchup", upto_phase);
   const auto t0 = std::chrono::steady_clock::now();
-  const auto probe_gap = std::chrono::duration<double>(cfg_.probe_interval_s);
   const std::size_t n_ranks = cfg_.n_device_procs;
+  std::vector<net::PeerId> all_ranks;
+  for (std::size_t r = 1; r <= n_ranks; ++r) {
+    all_ranks.push_back(static_cast<net::PeerId>(r));
+  }
   bool again = true;
   while (again) {
     again = false;
     std::vector<std::uint32_t> reborn;
-    std::uint32_t old_epoch = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
       reset_wanted_ = false;
@@ -983,65 +1012,46 @@ void DistCoordinator::absorb_catchup(std::uint32_t upto_phase,
       // restarted round recovers the union (the first rank's replay was
       // interrupted and must rerun).
       reborn.assign(reborn_pending_.begin(), reborn_pending_.end());
-      old_epoch = epoch_;
     }
     const auto is_reborn = [&](std::uint32_t r) {
       return std::find(reborn.begin(), reborn.end(), r) != reborn.end();
     };
-    const std::size_t survivors = n_ranks - reborn.size();
+    std::vector<net::PeerId> survivors;
+    for (const net::PeerId r : all_ranks) {
+      if (!is_reborn(r)) survivors.push_back(r);
+    }
 
     // Stage 1 — drain barrier at the OLD epoch, survivors only. Frames
     // addressed to the corpses settle nowhere, so a scalar sent==recv can
-    // never balance; pairwise survivor<->survivor counters can. Two
-    // consecutive idle, balanced, identical waves = drained. Acks from
-    // freshly respawned processes carry the kEpochUnset sentinel and are
-    // filtered by the wave's epoch match.
-    double patience_s = cfg_.wait_step_s;
-    using PairTable = std::map<std::pair<std::uint32_t, std::uint32_t>,
-                               std::pair<std::uint64_t, std::uint64_t>>;
-    PairTable prev;
-    bool have_prev = false;
-    while (!again) {
-      if (reset_pending()) {
-        again = true;
-        break;
-      }
-      std::map<net::PeerId, DistProbeAck> acks;
-      direct_wave(old_epoch, patience_s, survivors, acks);
-      bool complete = true;
-      for (std::uint32_t r = 1; r <= n_ranks; ++r) {
-        if (!is_reborn(r) && acks.find(r) == acks.end()) complete = false;
-      }
-      if (!complete) {
-        patience_s = std::min(patience_s * 2.0, cfg_.wait_step_max_s);
-        have_prev = false;
-        continue;
-      }
-      PairTable table;  // (src, dst) -> (src sent to dst, dst took from src)
-      bool all_idle = true;
-      for (const auto& [r, ack] : acks) {
-        if (is_reborn(r)) continue;
-        all_idle = all_idle && ack.idle;
-        for (const auto& p : ack.pairs) {
-          if (is_reborn(p.peer) || p.peer > n_ranks) continue;
-          table[{r, p.peer}].first += p.sent_to;
-          table[{p.peer, r}].second += p.recv_from;
-        }
-      }
-      bool balanced = true;
-      for (const auto& [key, sr] : table) {
-        if (sr.first != sr.second) {
-          balanced = false;
-          break;
-        }
-      }
-      if (all_idle && balanced && have_prev && table == prev) break;
-      have_prev = all_idle && balanced;
-      prev = std::move(table);
-      patience_s = cfg_.wait_step_s;
-      std::this_thread::sleep_for(probe_gap);
+    // never balance; pairwise survivor<->survivor counters can. Drained =
+    // every survivor idle with every survivor pair balanced, the same
+    // pair table on two consecutive waves.
+    const bool drained = probe_until_stable(
+        survivors, [&](const WaveAcks& acks) -> std::optional<Signature> {
+          // (src, dst) -> (src sent to dst, dst took from src)
+          std::map<std::pair<std::uint32_t, std::uint32_t>,
+                   std::pair<std::uint64_t, std::uint64_t>>
+              table;
+          for (const auto& [r, ack] : acks) {
+            if (is_reborn(r)) continue;
+            if (!ack.idle) return std::nullopt;
+            for (const auto& p : ack.pairs) {
+              if (is_reborn(p.peer) || p.peer > n_ranks) continue;
+              table[{r, p.peer}].first += p.sent_to;
+              table[{p.peer, r}].second += p.recv_from;
+            }
+          }
+          Signature sig;
+          for (const auto& [pair, sr] : table) {
+            if (sr.first != sr.second) return std::nullopt;
+            sig.insert(sig.end(), {pair.first, pair.second, sr.first});
+          }
+          return sig;
+        });
+    if (!drained) {
+      again = true;
+      continue;
     }
-    if (again) continue;
 
     // Stage 2 — bump the epoch and hand everyone the recovery plan.
     // Catchup goes direct (never relayed): the dead ranks may well be the
@@ -1084,38 +1094,23 @@ void DistCoordinator::absorb_catchup(std::uint32_t upto_phase,
     // flip replay_done once their local replay finished, and the replay
     // counters (survivor log resends + reborn replay emissions + cascade
     // fallout) must balance and hold across two waves.
-    patience_s = cfg_.wait_step_s;
-    bool have_prev2 = false;
-    std::array<std::uint64_t, 4> prev2{};
-    while (!again) {
-      if (reset_pending()) {
-        again = true;
-        break;
-      }
-      std::map<net::PeerId, DistProbeAck> acks;
-      direct_wave(epoch, patience_s, n_ranks, acks);
-      if (acks.size() < n_ranks) {
-        patience_s = std::min(patience_s * 2.0, cfg_.wait_step_max_s);
-        have_prev2 = false;
-        continue;
-      }
-      bool settled = true;
-      std::array<std::uint64_t, 4> sums{};
-      for (const auto& [r, ack] : acks) {
-        settled = settled && ack.idle && ack.replay_done;
-        sums[0] += ack.sent;
-        sums[1] += ack.received;
-        sums[2] += ack.replay_sent;
-        sums[3] += ack.replay_received;
-      }
-      settled = settled && sums[0] == sums[1] && sums[2] == sums[3];
-      if (settled && have_prev2 && sums == prev2) break;
-      have_prev2 = settled;
-      prev2 = sums;
-      patience_s = cfg_.wait_step_s;
-      std::this_thread::sleep_for(probe_gap);
+    const bool replayed = probe_until_stable(
+        all_ranks, [](const WaveAcks& acks) -> std::optional<Signature> {
+          Signature sums(4, 0);
+          for (const auto& [r, ack] : acks) {
+            if (!ack.idle || !ack.replay_done) return std::nullopt;
+            sums[0] += ack.sent;
+            sums[1] += ack.received;
+            sums[2] += ack.replay_sent;
+            sums[3] += ack.replay_received;
+          }
+          if (sums[0] != sums[1] || sums[2] != sums[3]) return std::nullopt;
+          return sums;
+        });
+    if (!replayed) {
+      again = true;
+      continue;
     }
-    if (again) continue;
     {
       std::lock_guard<std::mutex> lock(mu_);
       reborn_pending_.clear();
@@ -1164,10 +1159,10 @@ DistCoordinator::PhaseOutcome DistCoordinator::run_phase() {
 }
 
 bool DistCoordinator::gray_aggregator(std::uint32_t misses) const {
-  if (cfg_.gray_collect_misses != 0 && misses >= cfg_.gray_collect_misses) {
-    return true;
-  }
-  if (cfg_.gray_collect_stale_s <= 0.0) return false;
+  // Only a tree with aggregators (some child of the root has children)
+  // can stall a subtree; in the star every rank already answers the root.
+  if (tree_.depth() < 2) return false;
+  if (misses >= kGrayCollectMisses) return true;
   // rx age of the quietest interior direct child (leaf children answer the
   // root straight anyway; only an aggregator stalls a subtree). Same clock
   // as the transport's last_rx stamps.
@@ -1182,14 +1177,14 @@ bool DistCoordinator::gray_aggregator(std::uint32_t misses) const {
     const auto kids = tree_.children(kCoordinatorRank);
     if (std::find(kids.begin(), kids.end(), row.peer) == kids.end()) continue;
     const double age_s = (now_us - double(row.m.last_rx_us)) / 1e6;
-    if (age_s > cfg_.gray_collect_stale_s) return true;
+    if (age_s > kGrayCollectStaleS) return true;
   }
   return false;
 }
 
 DistCoordinator::Collected DistCoordinator::collect() {
   Collected out;
-  double patience_s = cfg_.wait_step_s;
+  Patience patience;
   std::uint64_t seq = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -1203,7 +1198,6 @@ DistCoordinator::Collected DistCoordinator::collect() {
   bool direct_round = false;
   std::uint32_t misses = 0;
   while (true) {
-    const auto wait_step = std::chrono::duration<double>(patience_s);
     std::uint32_t epoch = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -1218,14 +1212,14 @@ DistCoordinator::Collected DistCoordinator::collect() {
       broadcast(ask);
     }
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait_for(lock, wait_step,
+    cv_.wait_for(lock, patience.window(),
                  [&] { return collect_entries_.size() >= n_ranks; });
     if (collect_entries_.size() < n_ranks) {
       // Same backoff as the probe waves: a gray peer whose round trip
       // exceeds the window would otherwise be re-asked forever.
-      patience_s = std::min(patience_s * 2.0, cfg_.wait_step_max_s);
+      patience.missed();
       misses += 1;
-      if (!direct_round && cfg_.fanout != 0 && gray_aggregator(misses)) {
+      if (!direct_round && gray_aggregator(misses)) {
         // An interior aggregator looks stalled-not-dead: stop waiting on
         // relayed rollups and ask every rank to answer the root straight.
         direct_round = true;

@@ -13,7 +13,7 @@
 // are relayed downward by interior device ranks, which also merge their
 // subtree's probe acks and verdict rollups before forwarding one message
 // to their parent. Root fan-in is therefore O(F) per wave instead of O(P).
-// fanout 0 degenerates to the flat star (exact legacy behavior). Digests
+// The flat star is the tree whose fanout is at least P. Digests
 // ship as per-device deltas against the last collected round, with
 // configurable full anchors; interior ranks maintain a mirror of their
 // subtree's rows so they can serve snapshots during recovery. Data frames
@@ -26,7 +26,8 @@
 // is converged when two consecutive waves show every process idle at the
 // current phase with identical, balanced global send/receive totals. This
 // replaces the ShardedRuntime's shared-atomic quiescence count, which
-// cannot exist across address spaces.
+// cannot exist across address spaces. The catch-up drains below reuse the
+// same two-stable-waves rule with their own settle tests.
 //
 // Fault recovery. When a device process dies, its supervisor re-forks it
 // with a higher incarnation number, and the new Hello makes the
@@ -127,7 +128,7 @@ class DeviceProcess {
     std::size_t n_device_procs = 1;
     dvm::EngineConfig engine;
     std::uint32_t incarnation = 0;
-    /// Coordinator-tree fanout; 0 = flat star (see coord::Tree).
+    /// Coordinator-tree fanout; 0 or >= n_device_procs = flat star.
     std::size_t fanout = 0;
     RecoveryMode recovery = RecoveryMode::Legacy;
     /// Digest anchor period: 1 ships a full digest every collect round
@@ -267,31 +268,13 @@ class DeviceProcess {
 /// a single thread).
 class DistCoordinator {
  public:
+  /// Timing is not configurable: the probe interval, the adaptive
+  /// patience and the gray-aggregator triggers are constants whose reasons
+  /// sit beside them in distributed.cpp.
   struct Config {
     std::size_t n_device_procs = 1;
-    std::size_t fanout = 0;  // coordinator-tree fanout; 0 = star
+    std::size_t fanout = 0;  // coordinator-tree fanout; 0 or >= P = star
     RecoveryMode recovery = RecoveryMode::Legacy;
-    double probe_interval_s = 0.002;
-    /// Patience for hellos/acks/verdicts before re-broadcasting.
-    double wait_step_s = 0.05;
-    /// Ceiling for the adaptive patience. When a probe wave or collect
-    /// round times out incomplete, the next round waits twice as long, up
-    /// to this cap; a complete round resets to `wait_step_s`. Without the
-    /// backoff a peer whose round-trip exceeds `wait_step_s` (e.g. a
-    /// gray-failed link adding 50 ms each way) can never land an ack
-    /// inside the window and the coordinator re-probes forever.
-    double wait_step_max_s = 2.0;
-    /// Gray-aggregator fallback (tree mode only). A stalled-not-dead
-    /// interior rank blocks its whole subtree's rollups while every
-    /// liveness edge stays up; when a collect round times out and either a
-    /// direct child's link has been rx-silent longer than
-    /// `gray_collect_stale_s` or the round has missed
-    /// `gray_collect_misses` consecutive waits, the round is re-asked with
-    /// direct replies (every rank answers the root straight, bypassing
-    /// aggregation). 0 disables the staleness trigger / the miss trigger
-    /// respectively.
-    double gray_collect_stale_s = 1.0;
-    std::uint32_t gray_collect_misses = 4;
   };
 
   struct PhaseOutcome {
@@ -337,6 +320,23 @@ class DistCoordinator {
   /// Direct broadcast to every device rank, bypassing the tree (recovery
   /// traffic — a dead interior rank must not cut its subtree off).
   void broadcast_direct(const DistMsg& msg);
+  /// Every ack the root heard for one probe wave, by answering rank (a
+  /// relayed wave's acks each cover a whole subtree).
+  using WaveAcks = std::map<net::PeerId, DistProbeAck>;
+  /// Counters two waves must agree on before quiescence is declared.
+  using Signature = std::vector<std::uint64_t>;
+  /// A wave's settle test: its signature when the wave shows the awaited
+  /// quiescence, nullopt when it does not.
+  using SettleTest = std::function<std::optional<Signature>(const WaveAcks&)>;
+  /// The one termination rule. Sends probe waves — relayed down the tree
+  /// when `direct` is nullopt, otherwise straight to exactly those ranks
+  /// (recovery: a dead interior rank must not cut its subtree off) — and
+  /// returns true once two consecutive complete waves pass `settled` with
+  /// identical signatures; false when a rebirth interrupts. An incomplete
+  /// wave clears the window and doubles the patience for the rest of the
+  /// wait.
+  bool probe_until_stable(const std::optional<std::vector<net::PeerId>>& direct,
+                          const SettleTest& settled);
   /// True when phase `k` terminated; false when interrupted by a rebirth.
   bool await_termination(std::uint32_t k);
   [[nodiscard]] bool reset_pending();
@@ -345,17 +345,11 @@ class DistCoordinator {
   /// Catchup + snapshots, then drain the replay at the new epoch. Restarts
   /// with the union of reborn ranks if another rank dies mid-recovery.
   void absorb_catchup(std::uint32_t upto_phase, PhaseOutcome& outcome);
-  /// One direct probe wave; fills `acks` with the matching-epoch answers
-  /// received within the adaptive patience window (`expected` of them
-  /// short-circuits the wait).
-  void direct_wave(std::uint32_t epoch, double patience_s,
-                   std::size_t expected,
-                   std::map<net::PeerId, DistProbeAck>& acks);
   /// True when a stalled collect round should fall back to direct replies:
-  /// an interior direct child's link is rx-stale past
-  /// `gray_collect_stale_s`, or the round missed `gray_collect_misses`
-  /// waits in a row (a chaos-gray peer keeps heartbeats — and therefore
-  /// rx freshness — alive while its rollups stall).
+  /// the tree has aggregators and either an interior direct child's link
+  /// is rx-stale or the round missed several waits in a row (a chaos-gray
+  /// peer keeps heartbeats — and therefore rx freshness — alive while its
+  /// rollups stall).
   [[nodiscard]] bool gray_aggregator(std::uint32_t misses) const;
 
   net::Transport* transport_;
@@ -375,7 +369,7 @@ class DistCoordinator {
   std::set<std::uint32_t> reborn_pending_;  // sticky across catch-up retries
   std::uint32_t epoch_ = 0;
   std::uint32_t wave_ = 0;
-  std::map<net::PeerId, DistProbeAck> acks_;  // for the current wave
+  WaveAcks acks_;  // for the current wave
   std::map<std::uint32_t, VerdictEntry> collect_entries_;  // current round
 };
 

@@ -40,7 +40,6 @@ void churn_pairs(const ChurnProfile& p, const char* sep, std::string& out) {
   append(out, sep, "churn.xform_profile", std::to_string(p.xform_profile));
   append(out, sep, "churn.xform_fraction", fmt_f(p.xform_fraction));
   append(out, sep, "churn.acl_fraction", fmt_f(p.acl_fraction));
-  append(out, sep, "churn.legacy", p.legacy ? "1" : "0");
 }
 
 void chaos_pairs(const ChaosProfile& p, const char* sep, std::string& out) {
@@ -108,7 +107,6 @@ bool apply_pair(ScenarioSpec& spec, const std::string& key,
   else if (key == "churn.xform_fraction")
     c.xform_fraction = parse_f(key, value);
   else if (key == "churn.acl_fraction") c.acl_fraction = parse_f(key, value);
-  else if (key == "churn.legacy") c.legacy = value != "0";
   else if (key == "chaos.seed") x.seed = parse_u64(key, value);
   else if (key == "chaos.loss") x.loss = parse_f(key, value);
   else if (key == "chaos.dup") x.dup = parse_f(key, value);

@@ -23,26 +23,6 @@ ChurnGenerator::ChurnGenerator(const topo::Topology& topo,
                                ChurnProfile profile)
     : topo_(&topo), p_(profile), rng_(profile.seed) {
   dests_ = topo.all_prefix_attachments();
-  if (p_.legacy) {
-    // Compatibility mode: the exact pre-scenario stream, with timestamps
-    // drawn from an independent generator so the step draws stay
-    // bit-identical to legacy_plan().
-    auto plan = legacy_plan(topo, p_.events, p_.seed, p_.drop_fraction);
-    Rng clock(p_.seed ^ 0x9e3779b97f4a7c15ull);
-    double now = 0.0;
-    pending_.reserve(plan.steps.size());
-    for (auto& s : plan.steps) {
-      if (p_.rate_hz > 0.0) now += -std::log1p(-clock.real()) / p_.rate_hz;
-      TimedStep t;
-      t.at_s = now;
-      t.update = std::move(s.update);
-      t.erase_of = s.erase_of;
-      pending_.push_back(std::move(t));
-    }
-    emitted_ = p_.events;
-    steps_total_ = pending_.size();
-    return;
-  }
   // Decouple Zipf popularity rank from attachment order so "hot" prefixes
   // scatter across the topology deterministically per seed.
   for (std::size_t i = dests_.size(); i > 1; --i) {
@@ -214,15 +194,13 @@ void ChurnGenerator::emit_batch() {
 
 std::optional<TimedStep> ChurnGenerator::next() {
   if (pending_at_ >= pending_.size()) {
-    if (!p_.legacy) {
-      pending_.clear();
-      pending_at_ = 0;
-      if (emitted_ >= p_.events || dests_.empty() ||
-          topo_->device_count() < 2) {
-        return std::nullopt;
-      }
-      emit_batch();
+    pending_.clear();
+    pending_at_ = 0;
+    if (emitted_ >= p_.events || dests_.empty() ||
+        topo_->device_count() < 2) {
+      return std::nullopt;
     }
+    emit_batch();
     if (pending_at_ >= pending_.size()) return std::nullopt;
   }
   return pending_[pending_at_++];

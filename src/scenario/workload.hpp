@@ -10,9 +10,9 @@
 // process counts and transports, which is what makes the distributed
 // differential oracle sound under churn.
 //
-// legacy_plan() is the exact pre-scenario eval::random_updates stream
-// (moved here verbatim); eval::random_updates now delegates to it, so every
-// published bench median is reproduced bit-identically.
+// legacy_plan() is the pre-scenario update stream, kept bit-identical: it
+// is the harness's default stream behind every published paper figure and
+// bench median.
 #pragma once
 
 #include <optional>
@@ -50,10 +50,6 @@ struct ChurnProfile {
   /// its LEC predicate becomes multi-field, hulls to the dst prefix but
   /// boxes tighter — the multi-field index workload.
   double acl_fraction = 0.0;
-  /// Emit the exact pre-scenario eval::random_updates stream instead of
-  /// the churn model (timestamps still paced by rate_hz). Bench
-  /// compatibility mode: medians are unchanged by construction.
-  bool legacy = false;
 };
 
 /// One scripted update with an arrival time. `erase_of` references the
@@ -106,8 +102,19 @@ class ChurnGenerator {
 [[nodiscard]] TimedPlan generate(const topo::Topology& topo,
                                  const ChurnProfile& profile);
 
-/// The exact pre-scenario eval::random_updates stream (body moved here
-/// verbatim; see eval/workload.hpp for the semantics of drop_fraction).
+/// The pre-scenario update stream (eval::Harness's default): `count`
+/// updates, each inserting a higher-priority reroute for an existing
+/// destination prefix at a random device or removing an earlier insert
+/// (roughly half each, like a route flap trace). Reroutes point to a random
+/// neighbor, biased toward ones that still reach the destination, so most
+/// updates are benign — matching the paper's mostly error-free streams.
+///
+/// `drop_fraction` of the inserts are Drop-class instead: a drop rule for a
+/// random destination prefix at a random device. Each drop grows the
+/// device's Drop equivalence class into a union of scattered prefixes
+/// whose hull is 0.0.0.0/0 — the profile the destination-hull index cannot
+/// prune (every query against the class is a full-width set op), which is
+/// exactly where the atom tier is supposed to win.
 [[nodiscard]] eval::UpdatePlan legacy_plan(const topo::Topology& topo,
                                            std::size_t count,
                                            std::uint64_t seed,

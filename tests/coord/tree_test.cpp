@@ -1,9 +1,10 @@
-// Coordinator-tree shape invariants: the heap layout, the star
-// degeneration, and live-ancestor fallback for snapshot serving.
+// Coordinator-tree shape invariants: the heap layout, the star as the
+// fanout >= P tree, and live-ancestor fallback for snapshot serving.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "coord/tree.hpp"
 
@@ -11,20 +12,33 @@ namespace tulkun::coord {
 namespace {
 
 TEST(TreeTest, StarWhenFanoutZeroOrTooLarge) {
-  for (const std::size_t fanout : {std::size_t{0}, std::size_t{6},
-                                   std::size_t{100}}) {
-    const Tree t(6, fanout);
-    EXPECT_TRUE(t.is_star());
-    EXPECT_EQ(t.depth(), 1u);
-    const auto kids = t.children(0);
-    ASSERT_EQ(kids.size(), 6u);
-    for (net::PeerId r = 1; r <= 6; ++r) {
-      EXPECT_EQ(t.parent(r), 0u);
-      EXPECT_TRUE(t.children(r).empty());
-      EXPECT_EQ(t.level(r), 1u);
-      EXPECT_EQ(t.subtree_size(r), 1u);
+  // The star is not a mode: fanout 0, fanout P and any larger fanout are
+  // the same one-level tree, rank for rank.
+  for (const std::size_t P : {1u, 2u, 6u}) {
+    const Tree zero(P, 0);
+    const std::vector<std::uint32_t> down = {1, static_cast<std::uint32_t>(P)};
+    for (const Tree& t : {Tree(P, P), Tree(P, P + 3)}) {
+      EXPECT_EQ(t.depth(), zero.depth());
+      for (net::PeerId r = 0; r <= P; ++r) {
+        EXPECT_EQ(t.parent(r), zero.parent(r)) << "P=" << P << " r=" << r;
+        EXPECT_EQ(t.children(r), zero.children(r)) << "P=" << P << " r=" << r;
+        EXPECT_EQ(t.subtree(r), zero.subtree(r)) << "P=" << P << " r=" << r;
+        EXPECT_EQ(t.subtree_size(r), zero.subtree_size(r));
+        EXPECT_EQ(t.live_ancestor(r, {}), zero.live_ancestor(r, {}));
+        EXPECT_EQ(t.live_ancestor(r, down), zero.live_ancestor(r, down));
+      }
     }
-    EXPECT_EQ(t.subtree_size(0), 6u);
+    // ...and that shape is the flat star.
+    EXPECT_EQ(zero.depth(), 1u);
+    ASSERT_EQ(zero.children(0).size(), P);
+    for (net::PeerId r = 1; r <= P; ++r) {
+      EXPECT_EQ(zero.parent(r), 0u);
+      EXPECT_TRUE(zero.children(r).empty());
+      EXPECT_EQ(zero.level(r), 1u);
+      EXPECT_EQ(zero.subtree_size(r), 1u);
+      EXPECT_EQ(zero.live_ancestor(r, down), 0u);
+    }
+    EXPECT_EQ(zero.subtree_size(0), P);
   }
 }
 

@@ -7,6 +7,7 @@
 #include "eval/harness.hpp"
 #include "eval/report.hpp"
 #include "eval/workload.hpp"
+#include "scenario/workload.hpp"
 #include "topo/generators.hpp"
 
 namespace tulkun::eval {
@@ -86,8 +87,7 @@ TEST(FibSynth, ExtraRulesInflateCount) {
 
 TEST(Workload, RandomUpdatesBalanced) {
   const auto t = build_topology(dataset("INet2"));
-  auto net = synthesize(t, SynthOptions{2, 0, 1});
-  const auto plan = random_updates(t, net, 100, 5);
+  const auto plan = scenario::legacy_plan(t, 100, 5);
   ASSERT_EQ(plan.steps.size(), 100u);
   std::size_t erases = 0;
   for (const auto& s : plan.steps) {
@@ -106,7 +106,7 @@ TEST(Workload, RandomUpdatesBalanced) {
 TEST(Workload, UpdatesReplayCleanly) {
   const auto t = build_topology(dataset("INet2"));
   auto net = synthesize(t, SynthOptions{2, 0, 1});
-  auto plan = random_updates(t, net, 60, 6);
+  auto plan = scenario::legacy_plan(t, 60, 6);
   std::vector<std::uint64_t> ids(plan.steps.size(), 0);
   for (std::size_t i = 0; i < plan.steps.size(); ++i) {
     auto upd = plan.steps[i].update;

@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "eval/fib_synth.hpp"
-#include "eval/workload.hpp"
 #include "fib/prefix_index.hpp"
 #include "runtime/event_sim.hpp"
+#include "scenario/workload.hpp"
 #include "spec/builtins.hpp"
 #include "topo/generators.hpp"
 
@@ -173,10 +173,9 @@ TEST(DifferentialIndex, IndexedMatchesLinearScanUnderChurn) {
   run_step(linear, /*enable=*/false, now_linear, nullptr);
   expect_equal(0);
 
-  // The workload generator mutates its net as it applies updates; the
-  // simulators' devices each took a copy at initialization, so posting the
-  // recorded stream to both keeps all three views in lockstep.
-  const auto plan = eval::random_updates(topo, net, kUpdates, kSeed + 1);
+  // Both simulators' devices took a copy of the tables at initialization;
+  // posting the same recorded stream to both keeps them in lockstep.
+  const auto plan = scenario::legacy_plan(topo, kUpdates, kSeed + 1);
   std::vector<std::shared_ptr<const fib::FibUpdate>> handles_indexed(
       plan.steps.size());
   std::vector<std::shared_ptr<const fib::FibUpdate>> handles_linear(

@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "eval/fib_synth.hpp"
-#include "eval/workload.hpp"
 #include "runtime/event_sim.hpp"
+#include "scenario/workload.hpp"
 #include "spec/builtins.hpp"
 #include "topo/generators.hpp"
 
@@ -131,7 +131,7 @@ TEST(EndToEnd, RandomUpdateChurnStaysConsistent) {
   // Apply a churn of updates; after each, the sim must converge (run()
   // drains) and at the end, a mirror data plane must agree on LEC state.
   auto mirror = eval::synthesize(topo, eval::SynthOptions{2, 0, 9});
-  auto plan = eval::random_updates(topo, mirror, 40, 123);
+  auto plan = scenario::legacy_plan(topo, 40, 123);
   std::vector<std::uint64_t> sim_ids(plan.steps.size(), 0);
   std::vector<std::uint64_t> mirror_ids(plan.steps.size(), 0);
   for (std::size_t i = 0; i < plan.steps.size(); ++i) {

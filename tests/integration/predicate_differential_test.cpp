@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "eval/fib_synth.hpp"
-#include "eval/workload.hpp"
 #include "pred/atom_set.hpp"
 #include "runtime/event_sim.hpp"
+#include "scenario/workload.hpp"
 #include "spec/builtins.hpp"
 #include "topo/generators.hpp"
 
@@ -175,10 +175,9 @@ TEST(DifferentialPredicate, AtomTierMatchesBddTierUnderChurn) {
   now_bdds = std::max(now_bdds, bdds.run());
   expect_equal(0);
 
-  // The workload generator mutates its net as it applies updates; the
-  // simulators' devices each took a copy at initialization, so posting the
-  // recorded stream to both keeps all three views in lockstep.
-  const auto plan = eval::random_updates(topo, net, kUpdates, kSeed + 1);
+  // Both simulators' devices took a copy of the tables at initialization;
+  // posting the same recorded stream to both keeps them in lockstep.
+  const auto plan = scenario::legacy_plan(topo, kUpdates, kSeed + 1);
   std::vector<std::shared_ptr<const fib::FibUpdate>> handles_atoms(
       plan.steps.size());
   std::vector<std::shared_ptr<const fib::FibUpdate>> handles_bdds(

@@ -48,7 +48,7 @@ TEST(DistDifferentialTest, KilledDeviceProcessReconvergesIdentically) {
   dist.kind = net::TransportKind::Unix;
   dist.device_procs = 2;
   dist.n_updates = kUpdates;
-  dist.kill_rank1_at_phase = 2;  // rank 1 _exits when phase 2 begins
+  dist.kills = {{1, 2}};  // rank 1 _exits when phase 2 begins
   const auto res = dist_run(spec, opts, dist);
 
   // The supervisor re-forked the rank, the coordinator bumped the epoch and

@@ -170,7 +170,7 @@ ScenarioSpec fancy_spec() {
   spec.churn.zipf_s = 1.7;
   spec.churn.flap_fraction = 0.25;
   spec.churn.withdraw_batch_max = 7;
-  spec.churn.legacy = true;
+  spec.churn.xform_profile = 2;
   spec.chaos.seed = 99;
   spec.chaos.loss = 0.125;
   spec.chaos.dup = 0.0625;
@@ -198,7 +198,7 @@ TEST(ScenarioSpecFormat, MultiLineRoundTrip) {
   EXPECT_EQ(parsed.kills[1].rank, 2u);
   EXPECT_EQ(parsed.kills[1].phase, 9u);
   EXPECT_EQ(parsed.churn.events, 500u);
-  EXPECT_TRUE(parsed.churn.legacy);
+  EXPECT_EQ(parsed.churn.xform_profile, 2u);
   EXPECT_EQ(parsed.chaos.delay_max_s, spec.chaos.delay_max_s);
 }
 

@@ -31,15 +31,6 @@ std::vector<std::string> plan_keys(const TimedPlan& p) {
   return keys;
 }
 
-std::string untimed_key(const eval::UpdatePlan::Step& s) {
-  std::ostringstream os;
-  os << s.update.device << '|'
-     << (s.update.kind == fib::FibUpdate::Kind::Insert ? 'I' : 'E') << '|'
-     << s.update.rule.priority << '|' << s.update.rule.dst_prefix.to_string()
-     << '|' << s.update.rule.action.to_string() << '|' << s.erase_of;
-  return os.str();
-}
-
 TEST(ChurnGenerator, DeterministicAcrossInstances) {
   const auto topo = topo::fat_tree(4);
   ChurnProfile p;
@@ -154,26 +145,6 @@ TEST(ChurnGenerator, ZipfSkewsDestinationPopularity) {
   // over the 8 prefixes (expected share 1/8).
   EXPECT_GT(count_top(3.0), p.events / 3);
   EXPECT_LT(count_top(0.0), p.events / 3);
-}
-
-TEST(ChurnGenerator, LegacyModeReproducesRandomUpdates) {
-  const auto topo = topo::fat_tree(4);
-  fib::NetworkFib net(topo);
-  const std::size_t n = 50;
-  const std::uint64_t seed = 9;
-  const auto legacy = eval::random_updates(topo, net, n, seed);
-
-  ChurnProfile p;
-  p.legacy = true;
-  p.events = n;
-  p.seed = seed;
-  const auto churn = generate(topo, p).untimed();
-
-  ASSERT_EQ(churn.steps.size(), legacy.steps.size());
-  for (std::size_t i = 0; i < legacy.steps.size(); ++i) {
-    EXPECT_EQ(untimed_key(churn.steps[i]), untimed_key(legacy.steps[i]))
-        << "step " << i;
-  }
 }
 
 TEST(ChurnGenerator, UntimedPreservesEveryStep) {
