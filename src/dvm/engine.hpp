@@ -33,10 +33,10 @@ struct EngineConfig {
   /// hardware thread). Ignored by the engines themselves; carried here so
   /// one config object travels from CLI/env through harness to runtime.
   std::size_t runtime_shards = 0;
-  /// When nonzero, runtime::ShardedRuntime mark/sweep-collects a device's
-  /// BDD space whenever its live-node count crosses this threshold
-  /// (0 = never). Ignored by EventSimulator, whose spaces are shared with
-  /// the caller and therefore have roots the runtime cannot enumerate.
+  /// When nonzero, both real runtimes (through runtime::DeviceHost)
+  /// mark/sweep-collect a device's BDD space once its live-node count
+  /// crosses this threshold (0 = never). Ignored by EventSimulator, whose
+  /// spaces are shared with the caller and so have roots it cannot see.
   std::size_t bdd_gc_node_threshold = 0;
 };
 

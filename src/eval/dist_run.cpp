@@ -12,7 +12,9 @@
 #include <map>
 #include <thread>
 
+#include "fib/prefix_index.hpp"
 #include "net/inproc.hpp"
+#include "pred/atom_set.hpp"
 #include "xform/rewrite.hpp"
 
 namespace tulkun::eval {
@@ -21,9 +23,10 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // World spec wire format: the child process rebuilds the dataset + harness
-// options from one comma-separated argv value (18 fields, in declaration
-// order; dataset names never contain commas). Everything else about the
-// world is derived deterministically from these.
+// options from one comma-separated argv value (20 fields, in declaration
+// order, the engine fields that reach a rank last; dataset names never
+// contain commas). Everything else about the world is derived
+// deterministically from these.
 // ---------------------------------------------------------------------------
 
 std::string encode_world(const DatasetSpec& spec, const HarnessOptions& opts) {
@@ -52,6 +55,8 @@ std::string encode_world(const DatasetSpec& spec, const HarnessOptions& opts) {
   add(std::to_string(opts.ecmp_width));
   add(std::to_string(opts.seed));
   add(std::to_string(opts.max_destinations));
+  add(std::to_string(opts.engine.minimize_counting_info ? 1 : 0));
+  add(std::to_string(opts.engine.bdd_gc_node_threshold));
   return out;
 }
 
@@ -68,7 +73,7 @@ void decode_world(const std::string& s, DatasetSpec& spec,
     f.push_back(s.substr(pos, comma - pos));
     pos = comma + 1;
   }
-  if (f.size() != 18) throw Error("malformed --world spec: " + s);
+  if (f.size() != 20) throw Error("malformed --world spec: " + s);
   const auto u32 = [](const std::string& v) {
     return static_cast<std::uint32_t>(std::stoul(v));
   };
@@ -90,6 +95,8 @@ void decode_world(const std::string& s, DatasetSpec& spec,
   opts.ecmp_width = u32(f[15]);
   opts.seed = std::stoull(f[16]);
   opts.max_destinations = std::stoull(f[17]);
+  opts.engine.minimize_counting_info = f[18] != "0";
+  opts.engine.bdd_gc_node_threshold = std::stoull(f[19]);
 }
 
 // Runs start + all phases + collect on `coord`, leaving shutdown to the
@@ -258,13 +265,15 @@ pid_t spawn_child(const ChildArgs& a, std::uint32_t incarnation) {
       "--trace=" + std::string(obs::trace_enabled() ? "1" : "0"),
       "--world=" + a.world,
   };
-  // The world string is comma-separated and frozen at 18 fields; scenario
-  // profiles ride separate ';'-separated flags instead of extending it.
+  // The world string carries only the dataset and harness options;
+  // scenario profiles ride separate ';'-separated flags instead.
   if (!a.chaos.empty()) args.push_back("--chaos=" + a.chaos);
   if (!a.churn.empty()) args.push_back("--churn=" + a.churn);
-  // The xform kill switch is process-global; mirror it into every child so
-  // rank worlds match the coordinator's byte-for-byte.
+  // The xform, atom and prefix-index kill switches are process-global;
+  // mirror them into every child so ranks run what the caller runs.
   if (!xform::xform_enabled()) args.push_back("--xform=0");
+  if (!pred::atom_path_enabled()) args.push_back("--atoms=0");
+  if (!fib::prefix_index_enabled()) args.push_back("--fib-index=0");
   const pid_t pid = fork();
   if (pid == 0) {
     std::vector<char*> argv;
@@ -517,6 +526,10 @@ bool maybe_run_device_role(int argc, char** argv) {
         static_cast<std::uint32_t>(std::stoul(value("--kill-phase=")));
     if (value_or("--trace=", "0") == "1") obs::set_trace_enabled(true);
     if (value_or("--xform=", "1") == "0") xform::set_xform_enabled(false);
+    if (value_or("--atoms=", "1") == "0") pred::set_atom_path_enabled(false);
+    if (value_or("--fib-index=", "1") == "0") {
+      fib::set_prefix_index_enabled(false);
+    }
     DatasetSpec spec;
     HarnessOptions opts;
     decode_world(value("--world="), spec, opts);

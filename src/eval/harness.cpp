@@ -503,36 +503,24 @@ runtime::WorldBuilder Harness::world_builder(
     if (hit != world_cache_.end()) return hit->second;
 
     runtime::DistWorld world;
-    // One space backs everything shipped in the world; devices localize
-    // out of it through the wire codec exactly like ShardedRuntime does.
-    auto space = std::make_shared<packet::PacketSpace>();
-    world.plans = plan_all(*space, spec::FaultSpec{}, nullptr);
-
-    auto net = synthesize(
-        topo_, SynthOptions{opts_.ecmp_width, spec_.extra_rules, opts_.seed});
+    // The synthesized FIB's space backs everything the world ships, plans
+    // included; devices rebuild what they use in their own spaces from the
+    // wire form, exactly like ShardedRuntime's do.
+    auto net = std::make_shared<fib::NetworkFib>(synthesize(
+        topo_, SynthOptions{opts_.ecmp_width, spec_.extra_rules, opts_.seed}));
+    world.plans = plan_all(net->space(), spec::FaultSpec{}, nullptr);
     world.tables.reserve(topo_.device_count());
     for (DeviceId d = 0; d < topo_.device_count(); ++d) {
-      world.tables.push_back(runtime::localize_fib(net.table(d), *space));
+      world.tables.push_back(std::move(net->table(d)));
     }
 
     const auto plan = update_plan(
         n_updates, 0.0, churn_copy ? &*churn_copy : nullptr);
     world.steps.reserve(plan.steps.size());
     for (const auto& step : plan.steps) {
-      runtime::DistWorld::Step s;
-      s.update = step.update;
-      if (s.update.kind == fib::FibUpdate::Kind::Insert) {
-        s.update.rule = runtime::localize_rule(step.update.rule, *space);
-      } else {
-        // Erases are identified by rule_id; drop the rule so no predicate
-        // from the scratch space (which lives only inside the cached
-        // world's keepalive) escapes into the world.
-        s.update.rule = fib::Rule{};
-      }
-      s.erase_of = step.erase_of;
-      world.steps.push_back(std::move(s));
+      world.steps.push_back({step.update, step.erase_of});
     }
-    world.keepalive = std::move(space);
+    world.keepalive = std::move(net);
     // Concurrent in-process ranks receive copies sharing the same BDD
     // space; their build-time localization reads serialize on this.
     world.localize_mu = std::make_shared<std::mutex>();

@@ -1,6 +1,7 @@
 #include "runtime/dist_proto.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 namespace tulkun::runtime {
@@ -18,6 +19,16 @@ constexpr std::uint8_t kDone = 8;
 constexpr std::uint8_t kData = 9;
 constexpr std::uint8_t kCatchup = 10;
 constexpr std::uint8_t kSnapshot = 11;
+
+// The RuntimeMetrics fields a VerdictEntry ships, in wire order.
+using M = RuntimeMetrics;
+constexpr std::array kShippedCounts = {
+    &M::jobs, &M::frames, &M::envelopes, &M::frame_bytes,
+    &M::transfer_cache_hits, &M::transfer_cache_misses, &M::channel_roots,
+    &M::channel_nodes_shipped, &M::channel_resets, &M::gc_runs,
+    &M::gc_reclaimed_nodes};
+constexpr std::array kShippedSeconds = {
+    &M::lec_delta_seconds, &M::recompute_seconds, &M::emit_seconds};
 
 class Writer {
  public:
@@ -52,16 +63,11 @@ class Writer {
     u32(e.rank);
     u64(e.violations);
     dvm::encode_digest_deltas(e.deltas, out_);
-    u64(e.jobs);
-    u64(e.frames);
-    u64(e.envelopes);
-    u64(e.frame_bytes);
-    f64(e.lec_delta_seconds);
-    f64(e.recompute_seconds);
-    f64(e.emit_seconds);
+    for (const auto field : kShippedCounts) u64(e.metrics.*field);
+    for (const auto field : kShippedSeconds) f64(e.metrics.*field);
+    link_metrics(e.metrics.transport);
     u64(e.world_rebuilds);
     u64(e.snapshot_rows_adopted);
-    link_metrics(e.transport);
     bytes(e.trace);
   }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(out_); }
@@ -125,16 +131,11 @@ class Reader {
     e.violations = u64();
     e.deltas = dvm::decode_digest_deltas(bytes_, pos_,
                                          dvm::default_decode_limits());
-    e.jobs = u64();
-    e.frames = u64();
-    e.envelopes = u64();
-    e.frame_bytes = u64();
-    e.lec_delta_seconds = f64();
-    e.recompute_seconds = f64();
-    e.emit_seconds = f64();
+    for (const auto field : kShippedCounts) e.metrics.*field = u64();
+    for (const auto field : kShippedSeconds) e.metrics.*field = f64();
+    link_metrics(e.metrics.transport);
     e.world_rebuilds = u64();
     e.snapshot_rows_adopted = u64();
-    link_metrics(e.transport);
     e.trace = bytes();
     return e;
   }

@@ -154,21 +154,16 @@ struct VerdictEntry {
   std::uint32_t rank = 0;
   std::uint64_t violations = 0;
   std::vector<dvm::DigestDelta> deltas;
-  // Flattened RuntimeMetrics slice worth shipping (Samples stay local).
-  std::uint64_t jobs = 0;
-  std::uint64_t frames = 0;
-  std::uint64_t envelopes = 0;
-  std::uint64_t frame_bytes = 0;
-  double lec_delta_seconds = 0.0;
-  double recompute_seconds = 0.0;
-  double emit_seconds = 0.0;
+  /// The rank's counters over its whole life. The scalar counters and
+  /// `transport` cross the wire; Samples, jobs_per_shard and the index
+  /// counters stay local.
+  RuntimeMetrics metrics;
   /// Verifier-state rebuilds beyond the process's first build. Legacy
   /// recovery rebuilds every rank; catch-up must keep this at zero for
   /// survivors (the differential tests assert exactly that).
   std::uint64_t world_rebuilds = 0;
   /// Digest rows adopted from a catch-up snapshot as the delta baseline.
   std::uint64_t snapshot_rows_adopted = 0;
-  net::LinkMetrics transport;
   /// obs::serialize_trace blob: the rank's flight-recorder records drained
   /// since the last Collect (empty when tracing is off).
   std::vector<std::uint8_t> trace;

@@ -228,60 +228,33 @@ void DeviceProcess::build_world() {
   // The world (plans, initial tables, update steps) is a deterministic
   // function of the dataset and identical in every epoch; planning it is
   // the expensive part of recovery. Build it once and let epoch resets
-  // rebuild only the per-device verifier state — recovery applies the
-  // cached plan payload instead of replanning the network.
+  // rebuild only the host — recovery applies the cached plan payload
+  // instead of replanning the network.
+  if (!world_built_) world_ = builder_();
+  // Concurrent in-process ranks sharing one world must not race on its
+  // BDD manager: flattening rules and localizing plans read it.
+  std::unique_lock<std::mutex> shared_lock;
+  if (world_.localize_mu) {
+    shared_lock = std::unique_lock<std::mutex>(*world_.localize_mu);
+  }
+  const auto mine = devices_of(cfg_.rank);
   if (!world_built_) {
-    world_ = builder_();
+    wire_tables_.resize(world_.tables.size());
+    for (const DeviceId d : mine) wire_tables_[d] = to_wire(world_.tables[d]);
+    for (const auto& step : world_.steps) {
+      wire_steps_.push_back(to_wire(step.update.rule));
+    }
     world_built_ = true;
   }
-  if (devices_built_) world_rebuilds_ += 1;
-  devices_.clear();
+  if (host_) {
+    retired_.merge(host_->metrics());
+    world_rebuilds_ += 1;
+  }
+  host_ = std::make_unique<DeviceHost>(*topo_, mine, cfg_.engine,
+                                       /*deltas=*/false);
+  for (const auto& plan : world_.plans) host_->install(plan);
   step_rule_ids_.assign(world_.steps.size(), 0);
-  local_step_rules_.assign(world_.steps.size(), fib::Rule{});
-  {
-    // Pre-localize everything phase execution will touch (initial FIBs,
-    // invariants, insert rules) while holding the shared world's localize
-    // lock: concurrent in-process ranks sharing one world must not race on
-    // its BDD manager, and after this block they never read it again.
-    std::unique_lock<std::mutex> shared_lock;
-    if (world_.localize_mu) {
-      shared_lock = std::unique_lock<std::mutex>(*world_.localize_mu);
-    }
-    for (DeviceId d = 0; d < topo_->device_count(); ++d) {
-      if (owner_rank(d, cfg_.n_device_procs) != cfg_.rank) continue;
-      OwnedDevice od;
-      od.dev = d;
-      od.space = std::make_unique<packet::PacketSpace>();
-      od.verifier = std::make_unique<verifier::OnDeviceVerifier>(
-          d, *topo_, *od.space, cfg_.engine);
-      for (const auto& plan : world_.plans) {
-        planner::InvariantPlan local = plan;
-        local.inv = localize_invariant(plan.inv, *od.space);
-        od.verifier->install(local);
-      }
-      od.local_init = localize_fib(world_.tables[d], *od.space);
-      devices_.push_back(std::move(od));
-    }
-    for (std::size_t i = 0; i < world_.steps.size(); ++i) {
-      const auto& step = world_.steps[i];
-      if (owner_rank(step.update.device, cfg_.n_device_procs) != cfg_.rank) {
-        continue;
-      }
-      if (step.update.kind == fib::FibUpdate::Kind::Insert) {
-        OwnedDevice* od = owned(step.update.device);
-        local_step_rules_[i] = localize_rule(step.update.rule, *od->space);
-      }
-    }
-  }
-  devices_built_ = true;
   obs::Registry::instance().counter("dist_world_builds").add(1);
-}
-
-DeviceProcess::OwnedDevice* DeviceProcess::owned(DeviceId dev) {
-  for (auto& od : devices_) {
-    if (od.dev == dev) return &od;
-  }
-  return nullptr;
 }
 
 std::vector<std::uint32_t> DeviceProcess::devices_of(net::PeerId rank) const {
@@ -376,11 +349,12 @@ void DeviceProcess::apply_phase(std::uint32_t phase, bool replay) {
   if (applied_phases_.contains(phase)) return;  // idempotent re-Begin
   applied_phases_.insert(phase);
   const Routing mode = replay ? Routing::kReplayLocal : Routing::kNormal;
+  const auto send = [this, mode](DeviceId dst, std::vector<std::uint8_t> f) {
+    route(dst, std::move(f), mode);
+  };
   if (phase == 0) {
-    for (auto& od : devices_) {
-      auto outs = od.verifier->initialize(od.local_init);
-      local_.jobs += 1;
-      route(std::move(outs), mode);
+    for (const DeviceId d : devices_of(cfg_.rank)) {
+      host_->initialize(d, wire_tables_[d], send);
     }
     return;
   }
@@ -388,18 +362,12 @@ void DeviceProcess::apply_phase(std::uint32_t phase, bool replay) {
   if (idx >= world_.steps.size()) return;
   const auto& step = world_.steps[idx];
   if (owner_rank(step.update.device, cfg_.n_device_procs) != cfg_.rank) return;
-  OwnedDevice* od = owned(step.update.device);
   fib::FibUpdate upd = step.update;
-  if (upd.kind == fib::FibUpdate::Kind::Insert) {
-    upd.rule = local_step_rules_[idx];
-  }
   if (step.erase_of >= 0) {
     upd.rule_id = step_rule_ids_[static_cast<std::size_t>(step.erase_of)];
   }
-  auto outs = od->verifier->apply_rule_update(upd);
+  host_->update(upd.device, upd, wire_steps_[idx], send);
   step_rule_ids_[idx] = upd.rule_id;
-  local_.jobs += 1;
-  route(std::move(outs), mode);
 }
 
 void DeviceProcess::revive_parked(std::uint32_t epoch) {
@@ -586,81 +554,54 @@ void DeviceProcess::handle_data(net::PeerId from, DistData& data) {
   // Adopt the sender's context so this span links back to the send site.
   obs::ContextScope trace_ctx({data.trace_id, data.parent_span});
   TLK_SPAN_ARG("dist.handle_data", data.frame.size());
-  OwnedDevice* od = owned(data.dst_device);
-  if (od == nullptr) return;  // misrouted frame; ignore
-  std::vector<dvm::Envelope> outs;
-  try {
-    const auto envs = dvm::decode_frame(data.frame, *od->space);
-    for (const auto& env : envs) {
-      auto msgs = od->verifier->on_message(env);
-      outs.insert(outs.end(), std::make_move_iterator(msgs.begin()),
-                  std::make_move_iterator(msgs.end()));
-    }
-  } catch (const dvm::CodecError&) {
-    local_.transport.protocol_errors += 1;
-    return;
-  }
-  local_.jobs += 1;
   // Cascades of a replayed frame are delivered to everyone, replay-tagged
   // (Routing::kReplayCascade): the dead rank may never have processed this
   // frame (it died mid-phase-k), so its original cascades may not exist.
   // Survivors reprocess idempotently — emission is change-driven, so an
   // already-incorporated announcement cascades nothing further.
-  route(std::move(outs), data.replay ? Routing::kReplayCascade : Routing::kNormal);
+  const Routing mode = data.replay ? Routing::kReplayCascade : Routing::kNormal;
+  host_->deliver(data.dst_device, data.frame,
+                 [this, mode](DeviceId dst, std::vector<std::uint8_t> f) {
+                   route(dst, std::move(f), mode);
+                 });
 }
 
-void DeviceProcess::route(std::vector<dvm::Envelope> outs, Routing mode) {
-  if (outs.empty()) return;
+void DeviceProcess::route(DeviceId dst, std::vector<std::uint8_t> frame,
+                          Routing mode) {
   const bool replay = mode != Routing::kNormal;
-  std::map<DeviceId, std::vector<dvm::Envelope>> by_dst;
-  for (auto& env : outs) by_dst[env.dst].push_back(std::move(env));
   const obs::TraceContext ctx = obs::current_context();
-  for (auto& [dst, envs] : by_dst) {
-    DistData d;
-    d.dst_device = dst;
-    d.trace_id = ctx.trace_id;
-    d.parent_span = ctx.span_id;
-    d.frame = dvm::encode_frame(envs, &transfer_cache_);
-    local_.frames += 1;
-    local_.envelopes += envs.size();
-    local_.frame_bytes += d.frame.size();
-    local_.batch_size.add(static_cast<double>(envs.size()));
-    const net::PeerId owner = owner_rank(dst, cfg_.n_device_procs);
-    if (owner == cfg_.rank) {
-      // Loopback: both counters move together so the global sums stay
-      // balanced without special-casing local frames.
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        d.epoch = epoch_;
-        d.replay = replay;
-        if (replay) {
-          replay_sent_ += 1;
-        } else {
-          sent_ += 1;
-          sent_by_[owner] += 1;
-        }
-        queue_.emplace_back(cfg_.rank, DistMsg(std::move(d)));
-      }
-      cv_.notify_one();
-      continue;
-    }
+  DistData d;
+  d.dst_device = dst;
+  d.trace_id = ctx.trace_id;
+  d.parent_span = ctx.span_id;
+  d.frame = std::move(frame);
+  const net::PeerId owner = owner_rank(dst, cfg_.n_device_procs);
+  const bool loopback = owner == cfg_.rank;
+  if (!loopback) {
     // Cross-rank: log first (epoch and replay flag are rewritten when a
     // catch-up replays the log), then deliver — unless this is local phase
     // replay toward a survivor: phases below next_phase terminated
     // globally before the crash, so the survivor processed the originals.
     send_log_[owner].push_back(d);
-    if (mode == Routing::kReplayLocal && !is_reborn_peer(owner)) continue;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      d.epoch = epoch_;
-      d.replay = replay;
-      if (replay) {
-        replay_sent_ += 1;
-      } else {
-        sent_ += 1;
-        sent_by_[owner] += 1;
-      }
+    if (mode == Routing::kReplayLocal && !is_reborn_peer(owner)) return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    d.epoch = epoch_;
+    d.replay = replay;
+    if (replay) {
+      replay_sent_ += 1;
+    } else {
+      sent_ += 1;
+      sent_by_[owner] += 1;
     }
+    // Loopback: both counters move together so the global sums stay
+    // balanced without special-casing local frames.
+    if (loopback) queue_.emplace_back(cfg_.rank, DistMsg(std::move(d)));
+  }
+  if (loopback) {
+    cv_.notify_one();
+  } else {
     transport_->send(owner, encode_dist(DistMsg(std::move(d))));
   }
 }
@@ -720,31 +661,24 @@ void DeviceProcess::contribute_entry(std::uint64_t seq, bool want_full) {
   VerdictEntry e;
   e.rank = cfg_.rank;
   const std::vector<std::string> kEmpty;
-  for (const auto& od : devices_) {
-    auto rows = canonical_device_rows(*od.verifier);
-    const auto* base = baseline_.rows_for(od.dev);
-    auto delta = coord::diff_rows(static_cast<std::uint32_t>(od.dev),
-                                  base ? *base : kEmpty, rows, force_full);
-    e.violations += od.verifier->violations().size();
-    e.lec_delta_seconds += od.verifier->stats().lec_delta_seconds;
-    const auto totals = od.verifier->engine_totals();
-    e.recompute_seconds += totals.recompute_seconds;
-    e.emit_seconds += totals.emit_seconds;
+  for (const DeviceId dev : devices_of(cfg_.rank)) {
+    const auto& v = host_->verifier(dev);
+    auto rows = canonical_device_rows(v);
+    const auto* base = baseline_.rows_for(dev);
+    auto delta = coord::diff_rows(dev, base ? *base : kEmpty, rows, force_full);
+    e.violations += v.violations().size();
     if (delta.full || !delta.added.empty() || !delta.removed.empty()) {
       e.deltas.push_back(std::move(delta));
     }
-    baseline_.replace(static_cast<std::uint32_t>(od.dev), std::move(rows));
+    baseline_.replace(dev, std::move(rows));
   }
-  e.jobs = local_.jobs;
-  e.frames = local_.frames;
-  e.envelopes = local_.envelopes;
-  e.frame_bytes = local_.frame_bytes;
+  e.metrics = retired_;
+  e.metrics.merge(host_->metrics());
+  for (const auto& [peer, m] : transport_->link_metrics()) {
+    e.metrics.transport.merge(m);
+  }
   e.world_rebuilds = world_rebuilds_;
   e.snapshot_rows_adopted = snapshot_rows_adopted_;
-  e.transport = local_.transport;
-  for (const auto& [peer, m] : transport_->link_metrics()) {
-    e.transport.merge(m);
-  }
   if (obs::trace_enabled()) {
     obs::merge_snapshot(trace_acc_, obs::drain_snapshot());
     e.trace = obs::serialize_trace(trace_acc_);
@@ -1234,14 +1168,7 @@ DistCoordinator::Collected DistCoordinator::collect() {
     }
     for (auto& [rank, e] : collect_entries_) {
       out.violations += e.violations;
-      out.metrics.jobs += e.jobs;
-      out.metrics.frames += e.frames;
-      out.metrics.envelopes += e.envelopes;
-      out.metrics.frame_bytes += e.frame_bytes;
-      out.metrics.lec_delta_seconds += e.lec_delta_seconds;
-      out.metrics.recompute_seconds += e.recompute_seconds;
-      out.metrics.emit_seconds += e.emit_seconds;
-      out.metrics.transport.merge(e.transport);
+      out.metrics.merge(e.metrics);
       if (!e.trace.empty()) {
         try {
           out.traces.push_back(obs::deserialize_trace(e.trace));

@@ -65,8 +65,8 @@
 #include "coord/tree.hpp"
 #include "net/transport.hpp"
 #include "obs/trace.hpp"
+#include "runtime/device_host.hpp"
 #include "runtime/dist_proto.hpp"
-#include "runtime/sharded_runtime.hpp"
 
 namespace tulkun::runtime {
 
@@ -91,14 +91,15 @@ enum class RecoveryMode : std::uint8_t { Legacy, Catchup };
 
 /// Everything a process must agree on with its peers, rebuilt locally per
 /// epoch. `keepalive` owns whatever PacketSpaces back the plans, tables
-/// and update rules (predicates are localized into per-device spaces
-/// through the wire codec before use, exactly like ShardedRuntime).
+/// and update rules; each rank flattens the rules it owns to wire form
+/// once and hands them to its DeviceHost, which rebuilds them in the
+/// per-device spaces exactly like ShardedRuntime does.
 ///
 /// A world may be shared between in-process ranks (the harness builds it
-/// once); `localize_mu`, when set, serializes all reads of the shared
-/// source spaces during build_world's pre-localization so concurrent ranks
-/// never race on the shared BDD manager. After build_world returns, phase
-/// execution touches only per-device state.
+/// once); `localize_mu`, when set, serializes every read of the shared
+/// source spaces (build_world's flattening and plan installs) so
+/// concurrent ranks never race on the shared BDD manager. Phase execution
+/// touches only per-device state.
 struct DistWorld {
   std::shared_ptr<void> keepalive;
   std::shared_ptr<std::mutex> localize_mu;
@@ -115,10 +116,12 @@ struct DistWorld {
 /// an equivalent world.
 using WorldBuilder = std::function<DistWorld()>;
 
-/// One device-owning process (rank >= 1). Owns a single worker thread's
-/// worth of state; the transport's receive path only enqueues (and, on
-/// interior tree ranks, relays control frames downward and merges child
-/// probe acks — both latency-critical and cheap).
+/// One device-owning process (rank >= 1). Its worker thread drives one
+/// DeviceHost holding the rank's devices; the transport's receive path
+/// only enqueues (and, on interior tree ranks, relays control frames
+/// downward and merges child probe acks — both latency-critical and
+/// cheap). Predicates leave as blobs: a catch-up replays the send log to a
+/// reborn rank whose delta decoders would start empty.
 class DeviceProcess {
  public:
   static constexpr std::uint32_t kNoKillPhase = 0xffffffffu;
@@ -148,15 +151,6 @@ class DeviceProcess {
   void run();
 
  private:
-  struct OwnedDevice {
-    DeviceId dev = kNoDevice;
-    std::unique_ptr<packet::PacketSpace> space;
-    std::unique_ptr<verifier::OnDeviceVerifier> verifier;
-    /// Pre-localized at build time (under DistWorld::localize_mu) so phase
-    /// execution never reads the shared world's spaces.
-    fib::FibTable local_init;
-  };
-
   void on_frame(net::PeerId from, std::vector<std::uint8_t> frame);
   void relay_to_children(const std::vector<std::uint8_t>& frame);
   void handle_probe(const DistProbe& probe,
@@ -186,13 +180,12 @@ class DeviceProcess {
   /// (reprocessing is idempotent and emission is change-driven, so
   /// already-seen announcements die out immediately).
   enum class Routing : std::uint8_t { kNormal, kReplayLocal, kReplayCascade };
-  void route(std::vector<dvm::Envelope> outs, Routing mode);
+  void route(DeviceId dst, std::vector<std::uint8_t> frame, Routing mode);
   /// Computes (or re-serves, for a re-asked round) this rank's
   /// VerdictEntry and feeds it into the rollup for `seq`.
   void contribute_entry(std::uint64_t seq, bool want_full);
   void maybe_flush_rollup();
   void revive_parked(std::uint32_t epoch);
-  [[nodiscard]] OwnedDevice* owned(DeviceId dev);
   [[nodiscard]] std::vector<std::uint32_t> devices_of(net::PeerId rank) const;
   [[nodiscard]] bool is_reborn_peer(net::PeerId r) const;
 
@@ -205,13 +198,16 @@ class DeviceProcess {
   // Worker-owned state (no lock needed).
   DistWorld world_;
   bool world_built_ = false;  // plans/tables cached across epoch resets
-  std::vector<OwnedDevice> devices_;
-  bool devices_built_ = false;
+  // Wire forms of this rank's initial tables (by DeviceId; empty for other
+  // ranks' devices) and of every step's rule, flattened once per world.
+  std::vector<std::vector<WireRule>> wire_tables_;
+  std::vector<WireRule> wire_steps_;
+  std::unique_ptr<DeviceHost> host_;
+  // Counters of the hosts that rebuilds replaced, so reported counters
+  // stay cumulative over the process's life.
+  RuntimeMetrics retired_;
   std::uint64_t world_rebuilds_ = 0;  // verifier rebuilds beyond the first
   std::vector<std::uint64_t> step_rule_ids_;
-  std::vector<fib::Rule> local_step_rules_;  // pre-localized insert rules
-  bdd::SerializeCache transfer_cache_;
-  RuntimeMetrics local_;
   std::set<std::uint32_t> applied_phases_;
   // Per-destination log of every cross-rank Data frame sent this run;
   // replayed (re-tagged to the new epoch) toward reborn ranks during

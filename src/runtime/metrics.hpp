@@ -20,13 +20,12 @@ struct RunStats {
   std::uint64_t messages = 0;      // envelopes delivered
   std::uint64_t bytes = 0;         // wire bytes (when accounting enabled)
   Samples per_message_seconds;     // host-measured handler durations
-  Samples per_device_busy_seconds; // total busy time per device (filled at end)
 };
 
-/// Counters of one ShardedRuntime run: how work spread over shards, how
-/// well per-destination batching and the cross-space transfer cache did,
-/// and how long jobs waited in shard queues. Aggregated from per-shard
-/// counters; read only while the runtime is quiescent.
+/// Counters of one ShardedRuntime or DistributedRuntime run: how work
+/// spread over shards, how well per-destination batching and the transfer
+/// cache did, and how long jobs waited in shard queues. Summed over the
+/// DeviceHosts; read only while the runtime is quiescent.
 struct RuntimeMetrics {
   std::vector<std::uint64_t> jobs_per_shard;
   std::uint64_t jobs = 0;       // handled jobs (init + update + frame)
@@ -80,7 +79,5 @@ void print_metrics(std::ostream& os, const RuntimeMetrics& m);
 
 /// Current resident set size in bytes (0 when /proc is unavailable).
 [[nodiscard]] std::uint64_t process_rss_bytes();
-
-/// Localizing helpers for distributed runtimes live in sharded_runtime.hpp.
 
 }  // namespace tulkun::runtime

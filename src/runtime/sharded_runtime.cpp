@@ -1,79 +1,29 @@
 #include "runtime/sharded_runtime.hpp"
 
 #include <algorithm>
-#include <map>
 
-#include "dvm/codec.hpp"
 #include "obs/trace.hpp"
 
 namespace tulkun::runtime {
 
-namespace {
-
-packet::PacketSet transfer(const packet::PacketSet& p,
-                           packet::PacketSpace& target) {
-  if (pred::atom_path_enabled() && p.atom_ref() != pred::kNoAtom) {
-    // Atom-tier predicate: re-intern the interval list directly; neither
-    // space builds a BDD.
-    const auto ivs = p.atom_store()->intervals(p.atom_ref());
-    return target.from_intervals({ivs.begin(), ivs.end()});
-  }
-  const auto bytes = bdd::serialize(*p.manager(), p.ref());
-  return target.wrap(bdd::deserialize(target.manager(), bytes));
-}
-
-}  // namespace
-
-spec::Invariant localize_invariant(const spec::Invariant& inv,
-                                   packet::PacketSpace& target) {
-  spec::Invariant out = inv;
-  out.packet_space = transfer(inv.packet_space, target);
-  return out;
-}
-
-fib::Rule localize_rule(const fib::Rule& rule, packet::PacketSpace& target) {
-  fib::Rule out = rule;
-  if (rule.extra_match) {
-    out.extra_match = transfer(*rule.extra_match, target);
-  }
-  return out;
-}
-
-fib::FibTable localize_fib(const fib::FibTable& fib,
-                           packet::PacketSpace& target) {
-  fib::FibTable out;
-  for (const fib::Rule* r : fib.ordered()) {
-    out.insert(localize_rule(*r, target));
-  }
-  return out;
-}
-
 ShardedRuntime::ShardedRuntime(const topo::Topology& topo,
                                dvm::EngineConfig cfg)
-    : topo_(&topo), cfg_(cfg) {
-  devices_.reserve(topo.device_count());
-  for (DeviceId d = 0; d < topo.device_count(); ++d) {
-    Device dev;
-    dev.dev = d;
-    dev.space = std::make_unique<packet::PacketSpace>();
-    dev.verifier = std::make_unique<verifier::OnDeviceVerifier>(
-        d, topo, *dev.space, cfg);
-    dev.channels = std::make_unique<dvm::ChannelDecoders>(dev.space->manager());
-    devices_.push_back(std::move(dev));
-  }
-
+    : topo_(&topo) {
   std::size_t n_shards = cfg.runtime_shards;
   if (n_shards == 0) {
     n_shards = std::max(1u, std::thread::hardware_concurrency());
   }
   // More shards than devices would idle; cap (also keeps tiny tests light).
   n_shards = std::max<std::size_t>(
-      1, std::min<std::size_t>(n_shards, devices_.size()));
+      1, std::min<std::size_t>(n_shards, topo.device_count()));
   shards_.reserve(n_shards);
   for (std::size_t s = 0; s < n_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->local.jobs_per_shard.assign(n_shards, 0);
-    shards_.push_back(std::move(shard));
+    std::vector<DeviceId> devs;
+    for (std::size_t d = s; d < topo.device_count(); d += n_shards) {
+      devs.push_back(static_cast<DeviceId>(d));
+    }
+    shards_.push_back(std::make_unique<Shard>(topo, devs, cfg));
+    shards_.back()->local.jobs_per_shard.assign(n_shards, 0);
   }
   for (std::size_t s = 0; s < n_shards; ++s) {
     shards_[s]->thread = std::thread([this, s] { worker_loop(s); });
@@ -96,11 +46,7 @@ void ShardedRuntime::install(const planner::InvariantPlan& plan) {
   // while each device space is otherwise untouched. The next enqueue's
   // shard mutex publishes the installed state to the shard thread.
   wait_quiescent();
-  for (auto& dev : devices_) {
-    planner::InvariantPlan local = plan;
-    local.inv = localize_invariant(plan.inv, *dev.space);
-    dev.verifier->install(local);
-  }
+  for (auto& shard : shards_) shard->host.install(plan);
 }
 
 void ShardedRuntime::enqueue(Job job) {
@@ -124,34 +70,13 @@ void ShardedRuntime::finish_one() {
   }
 }
 
-ShardedRuntime::WireRule ShardedRuntime::to_wire(const fib::Rule& rule) {
-  WireRule out;
-  out.rule = rule;
-  if (rule.extra_match) {
-    out.extra_bytes =
-        bdd::serialize(*rule.extra_match->manager(), rule.extra_match->ref());
-    out.rule.extra_match.reset();
-  }
-  return out;
-}
-
-fib::Rule ShardedRuntime::from_wire(const WireRule& wire,
-                                    packet::PacketSpace& space) {
-  fib::Rule out = wire.rule;
-  if (!wire.extra_bytes.empty()) {
-    out.extra_match =
-        space.wrap(bdd::deserialize(space.manager(), wire.extra_bytes));
-  }
-  return out;
-}
-
 void ShardedRuntime::post_initialize(DeviceId dev, const fib::FibTable& fib) {
   Job job;
   job.kind = Job::Kind::Init;
   job.dev = dev;
   // Flatten to wire form on the caller thread (reads only the caller's
   // space); the shard thread rebuilds rules in the device's own space.
-  for (const fib::Rule* r : fib.ordered()) job.rules.push_back(to_wire(*r));
+  job.rules = to_wire(fib);
   enqueue(std::move(job));
 }
 
@@ -179,8 +104,8 @@ void ShardedRuntime::wait_quiescent() {
 
 std::vector<dvm::Violation> ShardedRuntime::violations() {
   std::vector<dvm::Violation> out;
-  for (auto& dev : devices_) {
-    auto v = dev.verifier->violations();
+  for (DeviceId d = 0; d < device_count(); ++d) {
+    auto v = device(d).violations();
     out.insert(out.end(), std::make_move_iterator(v.begin()),
                std::make_move_iterator(v.end()));
   }
@@ -192,93 +117,33 @@ RuntimeMetrics ShardedRuntime::metrics() const {
   out.jobs_per_shard.assign(shards_.size(), 0);
   for (const auto& shard : shards_) {
     out.merge(shard->local);
-    out.transfer_cache_hits += shard->transfer_cache.hits();
-    out.transfer_cache_misses += shard->transfer_cache.misses();
-    out.channel_roots += shard->channel_encoders.roots_encoded();
-    out.channel_nodes_shipped += shard->channel_encoders.nodes_shipped();
-    out.channel_resets += shard->channel_encoders.resets();
+    out.merge(shard->host.metrics());
   }
   // Prefix-index effectiveness over this process (callers reset the global
   // counters at run start to scope them to one run).
   out.index = fib::index_counters_snapshot();
-  for (const auto& dev : devices_) {
-    out.lec_delta_seconds += dev.verifier->stats().lec_delta_seconds;
-    const auto totals = dev.verifier->engine_totals();
-    out.recompute_seconds += totals.recompute_seconds;
-    out.emit_seconds += totals.emit_seconds;
-    out.gc_runs += dev.space->manager().gc_runs();
-    out.gc_reclaimed_nodes += dev.space->manager().gc_reclaimed();
-  }
   return out;
 }
 
 void ShardedRuntime::handle(Shard& shard, Job& job) {
-  Device& dev = devices_[job.dev];
-  std::vector<dvm::Envelope> out;
-  switch (job.kind) {
-    case Job::Kind::Init: {
-      fib::FibTable local;
-      for (const auto& wr : job.rules) {
-        local.insert(from_wire(wr, *dev.space));
-      }
-      out = dev.verifier->initialize(std::move(local));
-      break;
-    }
-    case Job::Kind::Update: {
-      fib::FibUpdate local = *job.update;
-      if (local.kind == fib::FibUpdate::Kind::Insert) {
-        local.rule = from_wire(job.update_rule, *dev.space);
-      }
-      out = dev.verifier->apply_rule_update(local);
-      // Publish the assigned id (and, on erase, the removed rule's prefix
-      // match — but not its extra predicate, which belongs to this space)
-      // back through the caller's handle.
-      job.update->rule_id = local.rule_id;
-      break;
-    }
-    case Job::Kind::Frame: {
-      const auto envs = dvm::decode_frame(
-          job.bytes, *dev.space, dvm::default_decode_limits(),
-          dev.channels.get());
-      for (const auto& env : envs) {
-        auto msgs = dev.verifier->on_message(env);
-        out.insert(out.end(), std::make_move_iterator(msgs.begin()),
-                   std::make_move_iterator(msgs.end()));
-      }
-      break;
-    }
-  }
-  // Encode outgoing envelopes on this shard (sender's spaces), coalescing
-  // everything bound for the same destination into one frame. Predicate
-  // serialization is memoized per shard, so an UPDATE flooded to N
-  // neighbors serializes its BDD once.
-  std::map<DeviceId, std::vector<dvm::Envelope>> by_dst;
-  for (auto& env : out) {
-    by_dst[env.dst].push_back(std::move(env));
-  }
-  for (auto& [dst, envs] : by_dst) {
+  const auto send = [this](DeviceId dst, std::vector<std::uint8_t> bytes) {
     Job next;
     next.kind = Job::Kind::Frame;
     next.dev = dst;
-    next.bytes = dvm::encode_frame(envs, &shard.transfer_cache,
-                                   &shard.channel_encoders);
-    shard.local.frames += 1;
-    shard.local.envelopes += envs.size();
-    shard.local.frame_bytes += next.bytes.size();
-    shard.local.batch_size.add(static_cast<double>(envs.size()));
+    next.bytes = std::move(bytes);
     enqueue(std::move(next));
-  }
-  by_dst.clear();  // outgoing refs die before a collection can move them
-  // Threshold-triggered mark/sweep of this device's BDD space. Root
-  // enumeration walks the whole verifier state, so it only happens when a
-  // collection is actually due. Every localized ref is reachable from the
-  // verifier or the channel decoder tables: outgoing envelopes were
-  // already flattened to bytes above.
-  if (dev.space->manager().gc_pending(cfg_.bdd_gc_node_threshold)) {
-    std::vector<bdd::NodeRef> roots;
-    dev.verifier->collect_refs(roots);
-    dev.channels->collect_refs(roots);
-    dev.space->manager().maybe_gc(roots, cfg_.bdd_gc_node_threshold);
+  };
+  switch (job.kind) {
+    case Job::Kind::Init:
+      shard.host.initialize(job.dev, job.rules, send);
+      break;
+    case Job::Kind::Update:
+      // The handle receives the assigned id after the next quiescence.
+      shard.host.update(job.dev, *job.update, job.update_rule, send);
+      break;
+    case Job::Kind::Frame:
+      shard.host.deliver(job.dev, job.bytes, send);
+      break;
   }
 }
 
@@ -302,7 +167,6 @@ void ShardedRuntime::worker_loop(std::size_t shard_index) {
           std::chrono::duration<double>(drained - job.enqueued).count());
       handle(shard, job);
       shard.local.jobs_per_shard[shard_index] += 1;
-      shard.local.jobs += 1;
       finish_one();
     }
   }

@@ -1,7 +1,8 @@
 // Sharded worker-pool runtime: a fixed-size pool of OS threads (default
-// hardware_concurrency) executes all simulated devices; each device has its
-// own BDD space, and envelopes cross shard boundaries as encoded wire
-// bytes, batched per destination into multi-envelope frames.
+// hardware_concurrency) executes all simulated devices. Each shard thread
+// drives one DeviceHost (private per-device BDD spaces, batched per-
+// destination frames), so envelopes cross shard boundaries as encoded
+// wire bytes.
 //
 // This runtime demonstrates that the verifiers are genuinely distributed:
 // no shared predicate state exists between devices — every predicate a
@@ -11,12 +12,10 @@
 // both produce identical verdicts) and the throughput vehicle (wall-clock
 // benches drive it with a configurable shard count).
 //
-// Replaces the earlier thread-per-device ThreadRuntime, which spawned 320+
-// threads on the DC datasets and took two mutex acquisitions per job on a
-// global inflight counter. Devices hash onto shards; a shard drains its
-// MPSC queue FIFO, so per-device job ordering is preserved (a device always
-// lands on the same shard). In-flight accounting is a single atomic with
-// one condition variable signalled only on the zero transition.
+// Devices hash onto shards; a shard drains its MPSC queue FIFO, so
+// per-device job ordering is preserved (a device always lands on the same
+// shard). In-flight accounting is a single atomic with one condition
+// variable signalled only on the zero transition.
 #pragma once
 
 #include <atomic>
@@ -27,27 +26,10 @@
 #include <thread>
 #include <vector>
 
-#include "bdd/serialize.hpp"
-#include "dvm/codec.hpp"
 #include "fib/update_stream.hpp"
-#include "planner/planner.hpp"
-#include "runtime/metrics.hpp"
-#include "verifier/verifier.hpp"
+#include "runtime/device_host.hpp"
 
 namespace tulkun::runtime {
-
-/// Re-encodes an invariant's packet space into `target` (regexes, ingress
-/// sets, and fault scenes carry no BDD state and copy verbatim).
-[[nodiscard]] spec::Invariant localize_invariant(const spec::Invariant& inv,
-                                                 packet::PacketSpace& target);
-
-/// Re-encodes a rule's extra match (if any) into `target`.
-[[nodiscard]] fib::Rule localize_rule(const fib::Rule& rule,
-                                      packet::PacketSpace& target);
-
-/// Re-encodes a whole FIB into `target`.
-[[nodiscard]] fib::FibTable localize_fib(const fib::FibTable& fib,
-                                         packet::PacketSpace& target);
 
 class ShardedRuntime {
  public:
@@ -82,23 +64,18 @@ class ShardedRuntime {
   /// Direct access to one device's verifier (digests, inspection).
   /// Safe only after wait_quiescent().
   [[nodiscard]] const verifier::OnDeviceVerifier& device(DeviceId dev) const {
-    return *devices_[dev].verifier;
+    return shards_[shard_of(dev)]->host.verifier(dev);
   }
 
-  [[nodiscard]] std::size_t device_count() const { return devices_.size(); }
+  [[nodiscard]] std::size_t device_count() const {
+    return topo_->device_count();
+  }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
   /// Aggregated shard counters. Safe only after wait_quiescent().
   [[nodiscard]] RuntimeMetrics metrics() const;
 
  private:
-  /// A rule with its extra match flattened to wire bytes, so rules cross
-  /// threads without sharing a BDD manager.
-  struct WireRule {
-    fib::Rule rule;  // extra_match cleared; rebuilt from extra_bytes
-    std::vector<std::uint8_t> extra_bytes;  // empty = prefix-only rule
-  };
-
   struct Job {
     enum class Kind { Init, Update, Frame } kind = Kind::Frame;
     DeviceId dev = kNoDevice;          // destination device
@@ -109,31 +86,21 @@ class ShardedRuntime {
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  [[nodiscard]] static WireRule to_wire(const fib::Rule& rule);
-  [[nodiscard]] static fib::Rule from_wire(const WireRule& wire,
-                                           packet::PacketSpace& space);
-
-  struct Device {
-    DeviceId dev = kNoDevice;
-    std::unique_ptr<packet::PacketSpace> space;
-    std::unique_ptr<verifier::OnDeviceVerifier> verifier;
-    // Per-source node-ID delta decoders (bound to this device's manager);
-    // their stream tables are part of this device's gc roots.
-    std::unique_ptr<dvm::ChannelDecoders> channels;
-  };
-
   struct Shard {
+    Shard(const topo::Topology& topo, const std::vector<DeviceId>& devices,
+          const dvm::EngineConfig& cfg)
+        : host(topo, devices, cfg, /*deltas=*/true) {}
+
     std::mutex mu;
     std::condition_variable cv;
     std::vector<Job> queue;  // MPSC: any thread pushes, shard thread drains
     std::thread thread;
     // Written by the shard thread only (read after quiescence). A device
-    // always runs on its home shard, so the per-(src, dst) channel
-    // encoders here see each source's messages in emission order — the
-    // FIFO discipline the delta streams require.
-    bdd::SerializeCache transfer_cache;
-    dvm::ChannelEncoders channel_encoders;
-    RuntimeMetrics local;
+    // always runs on its home shard, so the host's per-(src, dst) channel
+    // encoders see each source's messages in emission order — the FIFO
+    // discipline the delta streams require.
+    DeviceHost host;
+    RuntimeMetrics local;  // jobs_per_shard and queue wait
   };
 
   [[nodiscard]] std::size_t shard_of(DeviceId dev) const {
@@ -146,8 +113,6 @@ class ShardedRuntime {
   void finish_one();
 
   const topo::Topology* topo_;
-  dvm::EngineConfig cfg_;
-  std::vector<Device> devices_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> stopping_{false};
 

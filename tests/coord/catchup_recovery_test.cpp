@@ -4,7 +4,9 @@
 // reborn ranks must rejoin from an ancestor's digest snapshot plus the
 // survivors' send-log replay — survivors never rebuild their worlds — and
 // the converged digest must stay byte-identical to the in-process
-// ShardedRuntime replay and to Legacy whole-run recovery.
+// ShardedRuntime replay and to Legacy whole-run recovery. A star run whose
+// ranks collect their BDD spaces checks that a reborn rank's replay holds
+// up among survivors that already collected.
 //
 // This binary forks/execs itself as the device processes, so it carries a
 // custom main() that routes the --tulkun-device-proc re-exec before gtest.
@@ -63,6 +65,28 @@ TEST(CatchupRecoveryTest, AggregatorAndLeafKillsConvergeFromSnapshots) {
       EXPECT_EQ(e.snapshot_rows_adopted, 0u) << "rank " << e.rank;
     }
   }
+}
+
+TEST(CatchupRecoveryTest, RebornRankReplaysAmongCollectingSurvivors) {
+  // Every rank collects its device spaces; the reborn rank replays its
+  // phases from the wire-form rules after the survivors have collected.
+  const auto& spec = dataset("INet2");
+  constexpr std::size_t kUpdates = 6;
+  const auto base = testutil::sharded_baseline(spec, small_opts(), kUpdates);
+
+  const testutil::AtomsOff atoms_off;
+  DistOptions dist;
+  dist.kind = net::TransportKind::Unix;
+  dist.device_procs = 3;
+  dist.n_updates = kUpdates;
+  dist.recovery = runtime::RecoveryMode::Catchup;
+  dist.kills = {{1, 2}};  // rank 1 _exits when phase 2 begins
+  const auto res = dist_run(spec, testutil::collecting(small_opts()), dist);
+
+  EXPECT_GE(res.resets, 1u);
+  EXPECT_EQ(res.violations, base.violations);
+  EXPECT_EQ(res.rows, base.rows);
+  EXPECT_GT(res.metrics.gc_runs, 0u);
 }
 
 TEST(CatchupRecoveryTest, LegacyAndCatchupAgreeByteForByte) {

@@ -32,15 +32,35 @@ runtime::VerdictEntry sample_entry(std::uint32_t rank) {
   e.rank = rank;
   e.violations = 2;
   e.deltas = sample_deltas();
-  e.jobs = 11;
-  e.frames = 7;
-  e.envelopes = 5;
-  e.frame_bytes = 1234;
-  e.lec_delta_seconds = 0.25;
+  // Every shipped field distinct and non-zero, so truncation and
+  // re-encoding cover each one.
+  auto& m = e.metrics;
+  m.jobs = 11;
+  m.frames = 7;
+  m.envelopes = 5;
+  m.frame_bytes = 1234;
+  m.transfer_cache_hits = 13;
+  m.transfer_cache_misses = 17;
+  m.channel_roots = 19;
+  m.channel_nodes_shipped = 23;
+  m.channel_resets = 29;
+  m.gc_runs = 31;
+  m.gc_reclaimed_nodes = 37;
+  m.lec_delta_seconds = 0.25;
+  m.recompute_seconds = 0.5;
+  m.emit_seconds = 0.75;
+  m.transport.frames_sent = 42;
+  m.transport.bytes_sent = 43;
+  m.transport.frames_received = 44;
+  m.transport.bytes_received = 45;
+  m.transport.reconnects = 46;
+  m.transport.heartbeat_misses = 47;
+  m.transport.protocol_errors = 48;
+  m.transport.send_queue_depth = 49;
+  m.transport.send_queue_peak = 50;
+  m.transport.backpressure_events = 2;
   e.world_rebuilds = 1;
   e.snapshot_rows_adopted = 3;
-  e.transport.frames_sent = 42;
-  e.transport.backpressure_events = 2;
   return e;
 }
 
@@ -88,6 +108,47 @@ TEST(CoordCodecFuzzTest, RollupEveryPrefixThrows) {
   rollup.seq = 17;
   rollup.entries = {sample_entry(2), sample_entry(5)};
   expect_every_prefix_throws(rollup);
+}
+
+TEST(CoordCodecFuzzTest, RollupEntryMetricsRoundTrip) {
+  runtime::DistRollup rollup;
+  rollup.entries = {sample_entry(4)};
+  const auto back = std::get<runtime::DistRollup>(
+      runtime::decode_dist(runtime::encode_dist(rollup)));
+  ASSERT_EQ(back.entries.size(), 1u);
+  const auto& want = rollup.entries[0];
+  const auto& got = back.entries[0];
+  EXPECT_EQ(got.rank, 4u);
+  EXPECT_EQ(got.violations, want.violations);
+  EXPECT_EQ(got.deltas, want.deltas);
+  EXPECT_EQ(got.world_rebuilds, want.world_rebuilds);
+  EXPECT_EQ(got.snapshot_rows_adopted, want.snapshot_rows_adopted);
+  const auto& w = want.metrics;
+  const auto& g = got.metrics;
+  EXPECT_EQ(g.jobs, w.jobs);
+  EXPECT_EQ(g.frames, w.frames);
+  EXPECT_EQ(g.envelopes, w.envelopes);
+  EXPECT_EQ(g.frame_bytes, w.frame_bytes);
+  EXPECT_EQ(g.transfer_cache_hits, w.transfer_cache_hits);
+  EXPECT_EQ(g.transfer_cache_misses, w.transfer_cache_misses);
+  EXPECT_EQ(g.channel_roots, w.channel_roots);
+  EXPECT_EQ(g.channel_nodes_shipped, w.channel_nodes_shipped);
+  EXPECT_EQ(g.channel_resets, w.channel_resets);
+  EXPECT_EQ(g.gc_runs, w.gc_runs);
+  EXPECT_EQ(g.gc_reclaimed_nodes, w.gc_reclaimed_nodes);
+  EXPECT_EQ(g.lec_delta_seconds, w.lec_delta_seconds);
+  EXPECT_EQ(g.recompute_seconds, w.recompute_seconds);
+  EXPECT_EQ(g.emit_seconds, w.emit_seconds);
+  EXPECT_EQ(g.transport.frames_sent, w.transport.frames_sent);
+  EXPECT_EQ(g.transport.bytes_sent, w.transport.bytes_sent);
+  EXPECT_EQ(g.transport.frames_received, w.transport.frames_received);
+  EXPECT_EQ(g.transport.bytes_received, w.transport.bytes_received);
+  EXPECT_EQ(g.transport.reconnects, w.transport.reconnects);
+  EXPECT_EQ(g.transport.heartbeat_misses, w.transport.heartbeat_misses);
+  EXPECT_EQ(g.transport.protocol_errors, w.transport.protocol_errors);
+  EXPECT_EQ(g.transport.send_queue_depth, w.transport.send_queue_depth);
+  EXPECT_EQ(g.transport.send_queue_peak, w.transport.send_queue_peak);
+  EXPECT_EQ(g.transport.backpressure_events, w.transport.backpressure_events);
 }
 
 TEST(CoordCodecFuzzTest, SnapshotEveryPrefixThrows) {

@@ -38,6 +38,27 @@ TEST(DistDifferentialTest, UdsThreeProcessesMatchShardedRuntime) {
   EXPECT_GT(res.metrics.transport.bytes_received, 0u);
 }
 
+TEST(DistDifferentialTest, ForkedRanksRunTheCallersConfiguration) {
+  // The engine config and the atom switch reach forked ranks: they collect
+  // past the threshold, ship BDD blobs through the transfer cache, and
+  // report both counters back through collect.
+  const auto& spec = dataset("INet2");
+  constexpr std::size_t kUpdates = 6;
+  const auto base = testutil::sharded_baseline(spec, small_opts(), kUpdates);
+
+  const testutil::AtomsOff atoms_off;
+  DistOptions dist;
+  dist.kind = net::TransportKind::Unix;
+  dist.device_procs = 3;
+  dist.n_updates = kUpdates;
+  const auto res = dist_run(spec, testutil::collecting(small_opts()), dist);
+
+  EXPECT_EQ(res.violations, base.violations);
+  EXPECT_EQ(res.rows, base.rows);
+  EXPECT_GT(res.metrics.gc_runs, 0u);
+  EXPECT_GT(res.metrics.transfer_cache_misses, 0u);
+}
+
 TEST(DistDifferentialTest, KilledDeviceProcessReconvergesIdentically) {
   const auto& spec = dataset("INet2");
   const auto opts = small_opts();
@@ -57,6 +78,27 @@ TEST(DistDifferentialTest, KilledDeviceProcessReconvergesIdentically) {
   EXPECT_GE(res.metrics.transport.reconnects, 1u);
   EXPECT_EQ(res.violations, base.violations);
   EXPECT_EQ(res.rows, base.rows);
+}
+
+TEST(DistDifferentialTest, RebuiltRanksKeepCumulativeCounters) {
+  // A legacy reset rebuilds every rank's host, yet a rank reports counters
+  // over its whole life: the survivor's exceed those of a run without the
+  // kill by everything it did before the reset.
+  DistOptions dist;
+  dist.kind = net::TransportKind::Unix;
+  dist.device_procs = 2;
+  dist.n_updates = 6;
+  const auto clean = dist_run(dataset("INet2"), small_opts(), dist);
+  dist.kills = {{1, 2}};  // rank 1 _exits when phase 2 begins
+  const auto killed = dist_run(dataset("INet2"), small_opts(), dist);
+
+  ASSERT_EQ(clean.entries.size(), 2u);
+  ASSERT_EQ(killed.entries.size(), 2u);
+  const auto& survivor = killed.entries[1];
+  EXPECT_EQ(survivor.rank, 2u);
+  EXPECT_GE(survivor.world_rebuilds, 1u);
+  EXPECT_GT(survivor.metrics.jobs, clean.entries[1].metrics.jobs);
+  EXPECT_GT(survivor.metrics.frames, clean.entries[1].metrics.frames);
 }
 
 }  // namespace

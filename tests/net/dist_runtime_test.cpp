@@ -35,6 +35,25 @@ TEST(DistRuntimeTest, InprocThreeProcessesMatchShardedRuntime) {
   EXPECT_GT(res.metrics.transport.frames_sent, 0u);
 }
 
+TEST(DistRuntimeTest, InprocCollectingRanksMatchNoGcBaseline) {
+  // Ranks collect their device spaces past the threshold, and the digest
+  // must not notice: byte-identical to a sharded run that never collects.
+  const auto& spec = dataset("INet2");
+  constexpr std::size_t kUpdates = 6;
+  const auto base = testutil::sharded_baseline(spec, small_opts(), kUpdates);
+
+  const testutil::AtomsOff atoms_off;
+  DistOptions dist;
+  dist.kind = net::TransportKind::Inproc;
+  dist.device_procs = 3;
+  dist.n_updates = kUpdates;
+  const auto res = dist_run(spec, testutil::collecting(small_opts()), dist);
+
+  EXPECT_EQ(res.violations, base.violations);
+  EXPECT_EQ(res.rows, base.rows);
+  EXPECT_GT(res.metrics.gc_runs, 0u);
+}
+
 TEST(DistRuntimeTest, WorldBuilderIsDeterministicAcrossInstances) {
   // Epoch-replay recovery and cross-process digest equality both rest on
   // every process deriving the identical world from (dataset, options).

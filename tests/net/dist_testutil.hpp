@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "eval/dist_run.hpp"
+#include "pred/atom_set.hpp"
 #include "scenario/soak.hpp"
 
 namespace tulkun::eval::testutil {
@@ -26,6 +27,21 @@ inline ShardedBaseline sharded_baseline(
   Harness harness(spec, opts);
   auto digest = scenario::oracle_digest(harness, n_updates, churn);
   return ShardedBaseline{std::move(digest.rows), digest.violations};
+}
+
+/// Turns the atom tier off for one scope, so dst-only predicates build BDD
+/// nodes for collections to find and ship as blobs. Forked ranks inherit
+/// the setting through the launcher.
+struct AtomsOff {
+  bool was = pred::atom_path_enabled();
+  AtomsOff() { pred::set_atom_path_enabled(false); }
+  ~AtomsOff() { pred::set_atom_path_enabled(was); }
+};
+
+/// Options whose ranks collect their BDD spaces far below steady state.
+inline HarnessOptions collecting(HarnessOptions opts) {
+  opts.engine.bdd_gc_node_threshold = 64;
+  return opts;
 }
 
 }  // namespace tulkun::eval::testutil

@@ -64,10 +64,10 @@ TEST(DistProtoTraceTest, RollupEntriesCarryTraceBlobAndTransportMetrics) {
   v.rank = 3;
   v.violations = 1;
   v.deltas.push_back({3, true, {}, {"row"}});
-  v.transport.frames_sent = 10;
-  v.transport.send_queue_depth = 4;
-  v.transport.send_queue_peak = 8;
-  v.transport.backpressure_events = 2;
+  v.metrics.transport.frames_sent = 10;
+  v.metrics.transport.send_queue_depth = 4;
+  v.metrics.transport.send_queue_peak = 8;
+  v.metrics.transport.backpressure_events = 2;
   v.trace = serialize_trace(snap);
   roll.entries.push_back(std::move(v));
 
@@ -75,10 +75,11 @@ TEST(DistProtoTraceTest, RollupEntriesCarryTraceBlobAndTransportMetrics) {
   const auto back = std::get<runtime::DistRollup>(runtime::decode_dist(bytes));
   ASSERT_EQ(back.entries.size(), 1u);
   EXPECT_EQ(back.seq, 7u);
-  EXPECT_EQ(back.entries[0].transport.frames_sent, 10u);
-  EXPECT_EQ(back.entries[0].transport.send_queue_depth, 4u);
-  EXPECT_EQ(back.entries[0].transport.send_queue_peak, 8u);
-  EXPECT_EQ(back.entries[0].transport.backpressure_events, 2u);
+  const auto& link = back.entries[0].metrics.transport;
+  EXPECT_EQ(link.frames_sent, 10u);
+  EXPECT_EQ(link.send_queue_depth, 4u);
+  EXPECT_EQ(link.send_queue_peak, 8u);
+  EXPECT_EQ(link.backpressure_events, 2u);
   const auto got = deserialize_trace(back.entries[0].trace);
   ASSERT_EQ(got.threads.size(), 1u);
   ASSERT_EQ(got.threads[0].records.size(), 1u);

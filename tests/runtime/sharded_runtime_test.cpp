@@ -43,15 +43,68 @@ TEST_F(ShardedRuntimeTest, LocalizeInvariantTransfersPacketSpace) {
   EXPECT_EQ(local.ingress_set, inv.ingress_set);
 }
 
-TEST_F(ShardedRuntimeTest, LocalizeFibPreservesRules) {
-  packet::PacketSpace other;
-  const auto local = localize_fib(fig.net.table(fig.A), other);
-  EXPECT_EQ(local.size(), fig.net.table(fig.A).size());
-  for (const auto* r : local.all()) {
-    if (r->extra_match) {
-      EXPECT_EQ(r->extra_match->manager(), &other.manager());
-    }
-  }
+TEST_F(ShardedRuntimeTest, WireRuleExtraMatchLandsInDeviceSpace) {
+  // A rule's extra match crosses as bytes and is rebuilt in the space of
+  // the device that hosts the rule, never shared with the caller's.
+  fib::Rule rule;
+  rule.priority = 7;
+  rule.dst_prefix = fig.p1;
+  rule.extra_match = fig.space().dst_port(80);
+  rule.action = fib::Action::forward(fig.D);
+  const WireRule wire = to_wire(rule);
+  EXPECT_FALSE(wire.rule.extra_match.has_value());
+  EXPECT_FALSE(wire.extra_bytes.empty());
+
+  DeviceHost host(fig.topo, {fig.A}, {}, /*deltas=*/false);
+  host.initialize(fig.A, {&wire, 1},
+                  [](DeviceId, std::vector<std::uint8_t>) {});
+  const auto& v = host.verifier(fig.A);
+  ASSERT_EQ(v.fib().size(), 1u);
+  const fib::Rule& got = *v.fib().all().front();
+  ASSERT_TRUE(got.extra_match.has_value());
+  EXPECT_EQ(got.extra_match->manager(),
+            v.lec().entries().front().pred.manager());
+  EXPECT_NE(got.extra_match->manager(), &fig.space().manager());
+  EXPECT_DOUBLE_EQ(got.extra_match->count(), rule.extra_match->count());
+}
+
+TEST_F(ShardedRuntimeTest, BlobHostDropsDeltaFramesAsProtocolErrors) {
+  // A DistributedRuntime rank's host ships and accepts only blobs: a frame
+  // carrying node-ID deltas counts as a protocol error and changes nothing.
+  // Atoms off so dst-only predicates take the BDD path.
+  const bool atoms_were = pred::atom_path_enabled();
+  pred::set_atom_path_enabled(false);
+  const auto plan = planner.plan(b.waypoint(fig.P1(), fig.S, fig.W, fig.D));
+  std::vector<DeviceId> all;
+  for (DeviceId d = 0; d < fig.topo.device_count(); ++d) all.push_back(d);
+  DeviceHost deltas(fig.topo, all, {}, /*deltas=*/true);
+  DeviceHost blobs(fig.topo, all, {}, /*deltas=*/false);
+  deltas.install(plan);
+  blobs.install(plan);
+  using Frames = std::vector<std::pair<DeviceId, std::vector<std::uint8_t>>>;
+  const auto into = [](Frames& out) {
+    return [&out](DeviceId dst, std::vector<std::uint8_t> f) {
+      out.emplace_back(dst, std::move(f));
+    };
+  };
+  Frames delta_frames;
+  Frames blob_frames;
+  const auto table = to_wire(fig.net.table(fig.D));
+  deltas.initialize(fig.D, table, into(delta_frames));
+  blobs.initialize(fig.D, table, into(blob_frames));
+  EXPECT_FALSE(delta_frames.empty());
+  EXPECT_EQ(delta_frames.size(), blob_frames.size());
+
+  Frames sink;
+  for (const auto& [dst, f] : blob_frames) blobs.deliver(dst, f, into(sink));
+  const auto before = blobs.metrics();
+  EXPECT_EQ(before.transport.protocol_errors, 0u);
+  for (const auto& [dst, f] : delta_frames) blobs.deliver(dst, f, into(sink));
+  const auto after = blobs.metrics();
+  EXPECT_EQ(after.transport.protocol_errors, delta_frames.size());
+  EXPECT_EQ(after.jobs, before.jobs);
+  EXPECT_EQ(after.frames, before.frames);
+  pred::set_atom_path_enabled(atoms_were);
 }
 
 TEST_F(ShardedRuntimeTest, DistributedVerdictMatchesPaper) {
