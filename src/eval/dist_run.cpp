@@ -1,5 +1,6 @@
 #include "eval/dist_run.hpp"
 
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -100,7 +101,7 @@ void decode_world(const std::string& s, DatasetSpec& spec,
 }
 
 // Runs start + all phases + collect on `coord`, leaving shutdown to the
-// caller (the forking launcher must flip its supervisor into don't-respawn
+// caller (the spawning launcher must flip its supervisor into don't-respawn
 // mode between collect and shutdown).
 DistRunResult drive(runtime::DistCoordinator& coord, std::size_t n_updates,
                     const DistOptions::PhaseHooks& hooks = {},
@@ -226,9 +227,10 @@ DistRunResult dist_run_inproc(const DatasetSpec& spec,
 }
 
 // ---------------------------------------------------------------------------
-// Forking launcher: children are fork+exec of our own binary (argv carries
-// the --tulkun-device-proc marker handled by maybe_run_device_role), so the
-// child never inherits this process's threads, sockets or BDD state.
+// Spawning launcher: children are posix_spawns of our own binary (argv
+// carries the --tulkun-device-proc marker handled by
+// maybe_run_device_role), so the child never inherits this process's
+// threads, sockets or BDD state.
 // ---------------------------------------------------------------------------
 
 struct ChildArgs {
@@ -274,16 +276,22 @@ pid_t spawn_child(const ChildArgs& a, std::uint32_t incarnation) {
   if (!xform::xform_enabled()) args.push_back("--xform=0");
   if (!pred::atom_path_enabled()) args.push_back("--atoms=0");
   if (!fib::prefix_index_enabled()) args.push_back("--fib-index=0");
-  const pid_t pid = fork();
-  if (pid == 0) {
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (auto& s : args) argv.push_back(s.data());
-    argv.push_back(nullptr);
-    execv("/proc/self/exe", argv.data());
-    _exit(127);  // exec failed; the supervisor will give up after the cap
+  std::vector<char*> argv;
+  argv.reserve(args.size() + 1);
+  for (auto& s : args) argv.push_back(s.data());
+  argv.push_back(nullptr);
+  // posix_spawn, not fork: a fork copies the launcher's page tables, so its
+  // cost grows with the launcher's heap (a benchmark that keeps every
+  // round's digest rows would launch slower each round), and argv is built
+  // before the child exists. The child keeps the signal mask, which
+  // maybe_run_device_role unblocks.
+  pid_t pid = 0;
+  const int rc = posix_spawn(&pid, "/proc/self/exe", nullptr, nullptr,
+                             argv.data(), environ);
+  if (rc != 0) {
+    throw Error(std::string("posix_spawn failed for device process: ") +
+                std::strerror(rc));
   }
-  if (pid < 0) throw Error("fork failed for device process");
   return pid;
 }
 
@@ -328,9 +336,9 @@ DistRunResult dist_run(const DatasetSpec& spec, const HarnessOptions& opts,
   if (dist.churn) base.churn = scenario::format_churn_arg(*dist.churn);
 
   // Supervisor state: pid -> rank of every live child; a child that dies
-  // while the run is active is re-forked with a bumped incarnation (the
+  // while the run is active is respawned with a bumped incarnation (the
   // coordinator notices the new Hello and replays). The respawn cap stops
-  // fork storms if a child crashes deterministically.
+  // spawn storms if a child crashes deterministically.
   constexpr std::uint32_t kMaxRespawns = 16;
   std::mutex mu;
   std::map<pid_t, net::PeerId> live;

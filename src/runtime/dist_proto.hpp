@@ -59,7 +59,8 @@ struct DistBegin {
 /// Coordinator -> ranks: one wave of the four-counter termination probe.
 /// `direct` (recovery drains) asks every rank to answer rank 0 itself with
 /// its per-peer counter map — no tree relay, no merging — because a dead
-/// interior rank would cut its subtree off from relayed waves.
+/// interior rank would cut its subtree off from relayed waves. Waves
+/// count up from 1 in every epoch.
 struct DistProbe {
   std::uint32_t epoch = 0;
   std::uint32_t wave = 0;
@@ -77,11 +78,27 @@ struct DistPairCount {
   std::uint64_t recv_from = 0;
 };
 
+/// Wave number of a push (see DistProbeAck). No wave takes it: waves count
+/// up from 1, and the wave state of the coordinator and of every rank
+/// starts at 0, so a push never passes for a wave's answer.
+inline constexpr std::uint32_t kPushWave = 0xffffffffu;
+
 /// Device rank -> parent (or -> root when direct): a consistent snapshot
 /// for one probe wave. Interior ranks merge their children's acks with
 /// their own before forwarding: counters add, `idle` ANDs, `phase` takes
 /// the minimum, and `ranks` counts the ranks folded in so the root knows
 /// when a wave is complete without seeing every rank individually.
+///
+/// The same message, stamped with wave kPushWave, is a *push*: a snapshot
+/// nobody asked for, sent up the tree when a rank's worker goes idle. An
+/// interior rank keeps each child's latest push of its current epoch and
+/// forwards one push merged like a wave ack, taken fresh, once every child
+/// has pushed, only while its own worker is idle, and only when the merged
+/// snapshot differs from the last one it sent. A rank sends its pushes
+/// under the lock its snapshots are taken under, so they leave in the
+/// order they were taken. Pushes never go direct and never carry pairs.
+/// The root uses a push set as the first of the two readings that end a
+/// relayed wait; a wave must still confirm it.
 struct DistProbeAck {
   std::uint32_t epoch = 0;
   std::uint32_t wave = 0;

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "dvm/codec.hpp"
 #include "obs/export.hpp"
@@ -23,10 +22,12 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 // Coordinator timing. These are constants, not knobs: each value is held
 // in place by the reason beside it.
 //
-// Gap between complete probe waves. Termination needs two stable waves,
-// so the gap sets the floor on how fast a quiet phase is declared over;
-// without one, a phase still doing work would be flooded with probes that
-// only confirm it is busy.
+// Fallback wait for a push. After a wave that did not settle (or before a
+// relayed wait's first wave) the root waits this long for a push set that
+// settles, then probes anyway: a stalled subtree, a lost frame or a rank
+// that never pushes costs one interval per wave, never a hang. Without
+// the wait, a phase still doing work would be flooded with probes that
+// only confirm it is busy. A wave that settled is confirmed at once.
 constexpr std::chrono::milliseconds kProbeInterval{2};
 // Patience for hellos, acks and verdicts before a round is re-broadcast.
 constexpr double kWaitStepS = 0.05;
@@ -47,8 +48,8 @@ constexpr std::uint32_t kGrayCollectMisses = 4;
 /// How long one coordinator round (probe wave or collect) waits for its
 /// answers. Each wait — a phase, a drain, a collect — starts at kWaitStepS,
 /// and an incomplete round doubles the window for every later round of
-/// that wait, up to kWaitStepMaxS. It never shrinks back mid-wait: a
-/// stable verdict needs two consecutive complete waves, so a window that
+/// that wait, up to kWaitStepMaxS. It never shrinks back mid-wait: an
+/// incomplete wave drops the reading a verdict needs, so a window that
 /// reset after each complete wave would let a peer slower than kWaitStepS
 /// complete only every other wave, forever. A complete round ends its
 /// wait as soon as the last answer lands, so a wide window costs nothing
@@ -63,6 +64,14 @@ class Patience {
  private:
   double s_ = kWaitStepS;
 };
+
+/// Ranks a set of acks or pushes stands for: a merged one counts its
+/// whole subtree.
+std::size_t ranks_covered(const std::map<net::PeerId, DistProbeAck>& acks) {
+  std::size_t n = 0;
+  for (const auto& [from, ack] : acks) n += ack.ranks;
+  return n;
+}
 
 }  // namespace
 
@@ -170,8 +179,31 @@ void DeviceProcess::handle_probe(const DistProbe& probe,
   relay_to_children(frame);
 }
 
+void DeviceProcess::push_locked() {
+  if (busy_ || !queue_.empty() || epoch_ == kEpochUnset) return;
+  if (ranks_covered(child_pushes_) + 1 < tree_.subtree_size(cfg_.rank)) {
+    return;
+  }
+  DistProbeAck push = make_ack_locked(kPushWave, /*with_pairs=*/false);
+  for (const auto& [child, a] : child_pushes_) merge_probe_ack(push, a);
+  auto frame = encode_dist(push);
+  if (frame == last_push_) return;
+  last_push_ = frame;
+  // Sending under mu_ keeps pushes in the order they were taken, so the
+  // parent never holds an older snapshot over a newer one. Send never
+  // blocks, and locks nest child -> parent -> root only.
+  transport_->send(tree_.parent(cfg_.rank), std::move(frame));
+}
+
 void DeviceProcess::handle_probe_ack(net::PeerId from,
                                      const DistProbeAck& ack) {
+  if (ack.wave == kPushWave) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (ack.epoch != epoch_) return;  // raced an epoch change either way
+    child_pushes_[from] = ack;
+    push_locked();
+    return;
+  }
   std::vector<std::uint8_t> flush;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -180,9 +212,10 @@ void DeviceProcess::handle_probe_ack(net::PeerId from,
       return;  // stale wave or epoch transition
     }
     probe_acks_[from] = ack;
-    std::size_t covered = 0;
-    for (const auto& [child, a] : probe_acks_) covered += a.ranks;
-    if (probe_flushed_ || covered + 1 < tree_.subtree_size(cfg_.rank)) return;
+    if (probe_flushed_ ||
+        ranks_covered(probe_acks_) + 1 < tree_.subtree_size(cfg_.rank)) {
+      return;
+    }
     DistProbeAck merged = make_ack_locked(probe_wave_, /*with_pairs=*/false);
     for (const auto& [child, a] : probe_acks_) merge_probe_ack(merged, a);
     probe_flushed_ = true;
@@ -301,6 +334,7 @@ void DeviceProcess::run() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       busy_ = false;
+      push_locked();
     }
   }
 }
@@ -398,6 +432,7 @@ void DeviceProcess::handle_reset(const DistReset& reset) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     epoch_ = reset.epoch;
+    child_pushes_.clear();
     sent_ = 0;
     received_ = 0;
     sent_by_.clear();
@@ -422,6 +457,7 @@ void DeviceProcess::handle_catchup(const DistCatchup& cu) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     epoch_ = cu.epoch;
+    child_pushes_.clear();
     sent_ = 0;
     received_ = 0;
     sent_by_.clear();
@@ -753,7 +789,12 @@ void DistCoordinator::on_frame(net::PeerId from,
     }
   } else if (const auto* ack = std::get_if<DistProbeAck>(&msg)) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (ack->epoch == epoch_ && ack->wave == wave_) acks_[from] = *ack;
+    if (ack->epoch == epoch_ && ack->wave == kPushWave) {
+      pushes_[from] = *ack;
+      push_gen_ += 1;
+    } else if (ack->epoch == epoch_ && ack->wave == wave_) {
+      acks_[from] = *ack;
+    }
   } else if (auto* rollup = std::get_if<DistRollup>(&msg)) {
     bool accepted = false;
     {
@@ -808,12 +849,39 @@ bool DistCoordinator::reset_pending() {
 bool DistCoordinator::probe_until_stable(
     const std::optional<std::vector<net::PeerId>>& direct,
     const SettleTest& settled) {
-  // A relayed wave is complete when its acks cover every device rank (the
-  // root hears one merged ack per direct child); a direct one when every
-  // addressed rank answered.
+  // A relayed wave (or push set) is complete when its acks cover every
+  // device rank (the root hears one merged ack per direct child); a direct
+  // wave when every addressed rank answered.
   const std::size_t expected = direct ? direct->size() : cfg_.n_device_procs;
+  auto& reg = obs::Registry::instance();
+  obs::Counter& waves_sent = reg.counter("coord_probe_waves");
+  obs::Counter& fallbacks = reg.counter("coord_fallback_waves");
+  // The first of the two readings, which the next complete wave must
+  // match. A push set stands in for it because the root took every push
+  // it holds before sending the confirming wave, and counters are
+  // monotone within an epoch: Mattern's argument needs no more of a first
+  // reading. A stale or spuriously balanced set costs a wave, never an
+  // early end, since only a wave confirms.
   std::optional<Signature> prev;
+  std::uint64_t read_gen = ~std::uint64_t{0};  // push set last read
+  // Waits for a reading when there is none, up to kProbeInterval; false
+  // when a rebirth interrupts. Each push set is read once: one that did
+  // not settle, or whose confirming wave failed, says nothing new until
+  // another push lands.
+  const auto await_reading = [&] {
+    std::unique_lock<std::mutex> lock(mu_);
+    const bool pushed = cv_.wait_for(lock, kProbeInterval, [&] {
+      if (reset_wanted_) return true;
+      if (direct || push_gen_ == read_gen) return false;
+      read_gen = push_gen_;
+      if (ranks_covered(pushes_) >= expected) prev = settled(pushes_);
+      return prev.has_value();
+    });
+    if (!pushed && !direct) fallbacks.add(1);
+    return !reset_wanted_;
+  };
   Patience patience;
+  if (!direct && !await_reading()) return false;
   while (true) {
     std::uint32_t epoch = 0;
     std::uint32_t wave = 0;
@@ -830,28 +898,25 @@ bool DistCoordinator::probe_until_stable(
       for (const net::PeerId r : *direct) transport_->send(r, bytes);
     } else {
       TLK_EVENT_ARG("dist.probe_wave", wave);
+      waves_sent.add(1);
       broadcast(DistProbe{epoch, wave});
     }
     bool complete = false;
     WaveAcks acks;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      const auto covered = [&] {
-        std::size_t n = 0;
-        for (const auto& [r, ack] : acks_) n += ack.ranks;
-        return n;
-      };
-      cv_.wait_for(lock, patience.window(),
-                   [&] { return reset_wanted_ || covered() >= expected; });
+      cv_.wait_for(lock, patience.window(), [&] {
+        return reset_wanted_ || ranks_covered(acks_) >= expected;
+      });
       if (reset_wanted_) return false;
-      complete = covered() >= expected;
+      complete = ranks_covered(acks_) >= expected;
       if (complete) acks = acks_;
     }
     if (!complete) {
       // Missing acks (dead or slow peer): probe again with doubled
       // patience — a slow peer's acks always land once the window exceeds
       // its round trip, and a rebirth Hello flips reset_wanted_ and aborts
-      // the wait. Stability needs consecutive complete waves.
+      // the wait. Stability needs consecutive complete readings.
       patience.missed();
       prev.reset();
       continue;
@@ -859,7 +924,7 @@ bool DistCoordinator::probe_until_stable(
     auto sig = settled(acks);
     if (sig && prev && *sig == *prev) return true;
     prev = std::move(sig);
-    std::this_thread::sleep_for(kProbeInterval);
+    if (!prev && !await_reading()) return false;
   }
 }
 
@@ -896,6 +961,7 @@ void DistCoordinator::absorb_reset(std::uint32_t upto_phase,
       epoch = epoch_;
       wave_ = 0;
       acks_.clear();
+      pushes_.clear();
     }
     outcome.resets += 1;
     TLK_EVENT_ARG("dist.epoch_bump", epoch);
@@ -998,6 +1064,7 @@ void DistCoordinator::absorb_catchup(std::uint32_t upto_phase,
       epoch = epoch_;
       wave_ = 0;
       acks_.clear();
+      pushes_.clear();
     }
     outcome.resets += 1;
     TLK_EVENT_ARG("dist.epoch_bump", epoch);

@@ -21,13 +21,19 @@
 //
 // Execution is phased: phase 0 loads every initial FIB (the burst), phase
 // k >= 1 applies update step k-1 on its owning process. Between phases the
-// coordinator runs Mattern-style four-counter termination detection: probe
-// waves collect per-process (sent, received, idle) snapshots, and a phase
-// is converged when two consecutive waves show every process idle at the
-// current phase with identical, balanced global send/receive totals. This
-// replaces the ShardedRuntime's shared-atomic quiescence count, which
+// coordinator runs Mattern-style four-counter termination detection: a
+// phase is converged when two consecutive readings of per-process (sent,
+// received, idle) snapshots show every process idle at the current phase
+// with identical, balanced global send/receive totals. The first reading
+// is usually pushed: every rank sends its tree parent a snapshot when its
+// worker goes idle, interior ranks merge them, and a push set that covers
+// every rank and settles lets the root send one probe wave at once to
+// confirm it. When no push set settles, a probe wave that settles serves
+// as the first reading instead, and the root waits out a fixed interval
+// before a wave only while it holds neither.
+// This replaces the ShardedRuntime's shared-atomic quiescence count, which
 // cannot exist across address spaces. The catch-up drains below reuse the
-// same two-stable-waves rule with their own settle tests.
+// same two-reading rule with their own settle tests, on waves alone.
 //
 // Fault recovery. When a device process dies, its supervisor re-forks it
 // with a higher incarnation number, and the new Hello makes the
@@ -119,9 +125,9 @@ using WorldBuilder = std::function<DistWorld()>;
 /// One device-owning process (rank >= 1). Its worker thread drives one
 /// DeviceHost holding the rank's devices; the transport's receive path
 /// only enqueues (and, on interior tree ranks, relays control frames
-/// downward and merges child probe acks — both latency-critical and
-/// cheap). Predicates leave as blobs: a catch-up replays the send log to a
-/// reborn rank whose delta decoders would start empty.
+/// downward and merges child probe acks and pushes — all latency-critical
+/// and cheap). Predicates leave as blobs: a catch-up replays the send log
+/// to a reborn rank whose delta decoders would start empty.
 class DeviceProcess {
  public:
   static constexpr std::uint32_t kNoKillPhase = 0xffffffffu;
@@ -158,6 +164,9 @@ class DeviceProcess {
   void handle_probe_ack(net::PeerId from, const DistProbeAck& ack);
   [[nodiscard]] DistProbeAck make_ack_locked(std::uint32_t wave,
                                              bool with_pairs);
+  /// Pushes this subtree's snapshot to the parent when the rule in
+  /// DistProbeAck allows it. Caller holds mu_.
+  void push_locked();
   void build_world();
   void process(net::PeerId from, DistMsg& msg);
   void run_phase(const DistBegin& begin);
@@ -257,6 +266,10 @@ class DeviceProcess {
   std::uint32_t probe_wave_ = 0;
   std::map<net::PeerId, DistProbeAck> probe_acks_;  // child acks
   bool probe_flushed_ = false;
+  // Push path: each child's latest push in epoch_ (cleared when epoch_
+  // moves), and the frame of the last push sent to the parent.
+  std::map<net::PeerId, DistProbeAck> child_pushes_;
+  std::vector<std::uint8_t> last_push_;
 };
 
 /// The coordinator (rank 0): drives phases, detects termination, and
@@ -319,18 +332,23 @@ class DistCoordinator {
   /// Every ack the root heard for one probe wave, by answering rank (a
   /// relayed wave's acks each cover a whole subtree).
   using WaveAcks = std::map<net::PeerId, DistProbeAck>;
-  /// Counters two waves must agree on before quiescence is declared.
+  /// Counters two readings must agree on before quiescence is declared.
   using Signature = std::vector<std::uint64_t>;
-  /// A wave's settle test: its signature when the wave shows the awaited
-  /// quiescence, nullopt when it does not.
+  /// A reading's settle test: its signature when the acks (one wave's, or
+  /// the latest pushes) show the awaited quiescence, nullopt when not.
   using SettleTest = std::function<std::optional<Signature>(const WaveAcks&)>;
   /// The one termination rule. Sends probe waves — relayed down the tree
   /// when `direct` is nullopt, otherwise straight to exactly those ranks
   /// (recovery: a dead interior rank must not cut its subtree off) — and
-  /// returns true once two consecutive complete waves pass `settled` with
-  /// identical signatures; false when a rebirth interrupts. An incomplete
-  /// wave clears the window and doubles the patience for the rest of the
-  /// wait.
+  /// returns true once a complete wave passes `settled` with the signature
+  /// of the reading before it; false when a rebirth interrupts. A reading
+  /// is a complete wave that passes `settled` or, on relayed waits, the
+  /// root's push set once it covers every rank and passes `settled`. With
+  /// a reading in hand, and at the start of a direct wait, the next wave
+  /// goes out at once; otherwise the root waits up to kProbeInterval for a
+  /// push set (a direct wait has none), then sends a fallback wave. An
+  /// incomplete wave drops the reading and doubles the patience for the
+  /// rest of the wait.
   bool probe_until_stable(const std::optional<std::vector<net::PeerId>>& direct,
                           const SettleTest& settled);
   /// True when phase `k` terminated; false when interrupted by a rebirth.
@@ -366,6 +384,10 @@ class DistCoordinator {
   std::uint32_t epoch_ = 0;
   std::uint32_t wave_ = 0;
   WaveAcks acks_;  // for the current wave
+  // Latest push per direct child in epoch_ (cleared on every epoch bump),
+  // and a count of the pushes accepted, so a wait reads each set once.
+  WaveAcks pushes_;
+  std::uint64_t push_gen_ = 0;
   std::map<std::uint32_t, VerdictEntry> collect_entries_;  // current round
 };
 

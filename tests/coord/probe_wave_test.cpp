@@ -2,8 +2,11 @@
 // device ranks answer every probe over an in-process transport (which
 // delivers synchronously), so each test pins exactly which probe wave ends
 // a phase or a catch-up drain: a phase is over only after two consecutive
-// complete waves show every rank idle at the phase with balanced totals,
-// and both waves carry the same totals.
+// complete readings show every rank idle at the phase with balanced
+// totals, both carry the same totals, and the second is a wave. Without
+// pushes both readings are waves; with a push script the fake ranks push
+// once per Begin, and a push set that covers every rank and settles is the
+// first reading.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +28,10 @@ namespace {
 /// traffic.
 using Script = std::function<void(net::PeerId rank, std::uint32_t wave,
                                   bool direct, DistProbeAck& ack)>;
+/// Shapes the push a rank sends the root right after adopting a Begin. The
+/// push arrives pre-filled as an idle rank that finished that phase with
+/// zero traffic, stamped with the rank's epoch.
+using PushScript = std::function<void(net::PeerId rank, DistProbeAck& push)>;
 
 class FakeRanks {
  public:
@@ -48,6 +55,12 @@ class FakeRanks {
   void set_script(Script script) {
     std::lock_guard<std::mutex> lock(mu_);
     script_ = std::move(script);
+  }
+
+  /// Ranks push only while a push script is set.
+  void set_push_script(PushScript script) {
+    std::lock_guard<std::mutex> lock(mu_);
+    push_script_ = std::move(script);
   }
 
   /// The rank's process died and came back: it re-Hellos with a higher
@@ -108,6 +121,16 @@ class FakeRanks {
         if (begin->epoch == r.epoch) {
           r.phase = begin->phase;
           r.relayed_waves = 0;
+          if (push_script_) {
+            DistProbeAck push;
+            push.epoch = r.epoch;
+            push.wave = kPushWave;
+            push.idle = true;
+            push.phase_started = true;
+            push.phase = begin->phase;
+            push_script_(self, push);
+            reply = encode_dist(push);
+          }
         }
       } else if (const auto* cu = std::get_if<DistCatchup>(&msg)) {
         r.epoch = cu->epoch;
@@ -133,6 +156,7 @@ class FakeRanks {
 
   std::mutex mu_;
   Script script_;
+  PushScript push_script_;
   std::vector<Rank> ranks_;
 };
 
@@ -261,6 +285,71 @@ TEST_F(ProbeWaveTest, CatchupDrainBalancesSurvivorPairsOnly) {
   for (net::PeerId r = 1; r <= 3; ++r) {
     EXPECT_EQ(fakes_->catchups(r), 1u);
     EXPECT_EQ(fakes_->phase_waves(r), 2u);  // phase 1 itself ran normally
+  }
+}
+
+TEST_F(ProbeWaveTest, SettledPushesEndEachPhaseOnOneWave) {
+  start(3);
+  fakes_->set_push_script([](net::PeerId, DistProbeAck&) {});
+  for (int phase = 0; phase < 3; ++phase) {
+    EXPECT_EQ(coord_->run_phase().resets, 0u);
+    // The push set is the first reading; one wave confirms it.
+    for (net::PeerId r = 1; r <= 3; ++r) EXPECT_EQ(fakes_->phase_waves(r), 1u);
+  }
+}
+
+TEST_F(ProbeWaveTest, ConfirmingWaveMustMatchThePushSignature) {
+  start(2);
+  // Rank 1 sent 6 frames and rank 2 processed all 6, but phase 0's pushes
+  // were taken at 5/5. A wave that settles at 6/6 is not a confirmation:
+  // it becomes the first reading, and a second wave confirms it.
+  fakes_->set_script([](net::PeerId rank, std::uint32_t, bool,
+                        DistProbeAck& ack) {
+    if (rank == 1) ack.sent = 6;
+    if (rank == 2) ack.received = 6;
+  });
+  fakes_->set_push_script([](net::PeerId rank, DistProbeAck& push) {
+    const std::uint64_t n = push.phase == 0 ? 5 : 6;
+    if (rank == 1) push.sent = n;
+    if (rank == 2) push.received = n;
+  });
+  (void)coord_->run_phase();
+  EXPECT_EQ(fakes_->phase_waves(1), 2u);
+  // Phase 1's pushes read 6/6 like its waves: one wave ends it.
+  (void)coord_->run_phase();
+  EXPECT_EQ(fakes_->phase_waves(1), 1u);
+}
+
+TEST_F(ProbeWaveTest, PushOfThePreviousPhaseIsNoReading) {
+  start(3);
+  fakes_->set_push_script([](net::PeerId, DistProbeAck&) {});
+  (void)coord_->run_phase();
+  EXPECT_EQ(fakes_->phase_waves(1), 1u);
+  // Phase 1: rank 2's push still reports phase 0, so the push set does not
+  // settle and the waves alone end the phase.
+  fakes_->set_push_script([](net::PeerId rank, DistProbeAck& push) {
+    if (rank == 2) push.phase = 0;
+  });
+  (void)coord_->run_phase();
+  for (net::PeerId r = 1; r <= 3; ++r) EXPECT_EQ(fakes_->phase_waves(r), 2u);
+}
+
+TEST_F(ProbeWaveTest, PushFromTheOldEpochIsIgnoredAfterCatchup) {
+  start(3, /*fanout=*/0, RecoveryMode::Catchup);
+  fakes_->set_push_script([](net::PeerId, DistProbeAck&) {});
+  (void)coord_->run_phase();  // phase 0
+  EXPECT_EQ(fakes_->phase_waves(1), 1u);
+  fakes_->rebirth(2);
+  // Every push after the catch-up claims epoch 0. Taken at face value it
+  // would settle phase 1; stamped with the old epoch it is dropped.
+  fakes_->set_push_script([](net::PeerId, DistProbeAck& push) {
+    push.epoch = 0;
+  });
+  const auto out = coord_->run_phase();  // phase 1, after recovery
+  EXPECT_EQ(out.resets, 1u);
+  for (net::PeerId r = 1; r <= 3; ++r) {
+    EXPECT_EQ(fakes_->catchups(r), 1u);
+    EXPECT_EQ(fakes_->phase_waves(r), 2u);
   }
 }
 

@@ -38,6 +38,28 @@ TEST(DistDifferentialTest, UdsThreeProcessesMatchShardedRuntime) {
   EXPECT_GT(res.metrics.transport.bytes_received, 0u);
 }
 
+TEST(DistDifferentialTest, UdsTreePushesEndPhasesOnFewerWaves) {
+  // Fanout 2 over 3 forked ranks: rank 1 merges rank 3's pushes with its
+  // own. The coordinator, and with it the wave counter, is this process.
+  const auto& spec = dataset("INet2");
+  const auto opts = small_opts();
+  constexpr std::size_t kUpdates = 20;
+  const auto base = testutil::sharded_baseline(spec, opts, kUpdates);
+
+  DistOptions dist;
+  dist.kind = net::TransportKind::Unix;
+  dist.device_procs = 3;
+  dist.fanout = 2;
+  dist.n_updates = kUpdates;
+  testutil::UpdateWaves waves(dist);
+  const auto res = dist_run(spec, opts, dist);
+
+  EXPECT_EQ(res.violations, base.violations);
+  EXPECT_EQ(res.rows, base.rows);
+  // On waves alone, every update phase takes two settled ones.
+  EXPECT_LT(waves.count(), 2 * kUpdates);
+}
+
 TEST(DistDifferentialTest, ForkedRanksRunTheCallersConfiguration) {
   // The engine config and the atom switch reach forked ranks: they collect
   // past the threshold, ship BDD blobs through the transfer cache, and

@@ -54,6 +54,28 @@ TEST(DistRuntimeTest, InprocCollectingRanksMatchNoGcBaseline) {
   EXPECT_GT(res.metrics.gc_runs, 0u);
 }
 
+TEST(DistRuntimeTest, InprocTreePushesEndPhasesOnFewerWaves) {
+  // Fanout 2 over 3 ranks: rank 1 merges rank 3's pushes with its own
+  // before the root sees them.
+  const auto& spec = dataset("INet2");
+  const auto opts = small_opts();
+  constexpr std::size_t kUpdates = 20;
+  const auto base = testutil::sharded_baseline(spec, opts, kUpdates);
+
+  DistOptions dist;
+  dist.kind = net::TransportKind::Inproc;
+  dist.device_procs = 3;
+  dist.fanout = 2;
+  dist.n_updates = kUpdates;
+  testutil::UpdateWaves waves(dist);
+  const auto res = dist_run(spec, opts, dist);
+
+  EXPECT_EQ(res.violations, base.violations);
+  EXPECT_EQ(res.rows, base.rows);
+  // On waves alone, every update phase takes two settled ones.
+  EXPECT_LT(waves.count(), 2 * kUpdates);
+}
+
 TEST(DistRuntimeTest, WorldBuilderIsDeterministicAcrossInstances) {
   // Epoch-replay recovery and cross-process digest equality both rest on
   // every process deriving the identical world from (dataset, options).

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "eval/dist_run.hpp"
+#include "obs/registry.hpp"
 #include "pred/atom_set.hpp"
 #include "scenario/soak.hpp"
 
@@ -36,6 +37,27 @@ struct AtomsOff {
   bool was = pred::atom_path_enabled();
   AtomsOff() { pred::set_atom_path_enabled(false); }
   ~AtomsOff() { pred::set_atom_path_enabled(was); }
+};
+
+/// Relayed probe waves the coordinator in this process sends during a
+/// run's update phases. Construct before dist_run, read after. The burst
+/// is left out: it spans the ranks' world builds, which waves poll at the
+/// fallback interval however quiescence is detected.
+class UpdateWaves {
+ public:
+  explicit UpdateWaves(DistOptions& dist) {
+    dist.hooks.on_phase = [this](std::size_t phase,
+                                 const runtime::DistCoordinator::PhaseOutcome&) {
+      if (phase == 0) after_burst_ = sent();
+    };
+  }
+  [[nodiscard]] std::uint64_t count() const { return sent() - after_burst_; }
+
+ private:
+  static std::uint64_t sent() {
+    return obs::Registry::instance().counter("coord_probe_waves").value();
+  }
+  std::uint64_t after_burst_ = 0;
 };
 
 /// Options whose ranks collect their BDD spaces far below steady state.
